@@ -1,10 +1,10 @@
 // ABL-BUILD — ablation of the HR construction strategy: the bottom-up
 // scanline build materializes every finest-level interior cell (cost
-// follows polygon AREA), while the top-down refinement only explores
-// descendants of boundary cells (cost follows PERIMETER). Both produce
-// the same region representation (tests verify classification equality);
-// the library switches automatically on the estimated footprint. This
-// bench locates the crossover.
+// follows polygon AREA), while the top-down refinement makes one
+// finest-level supercover pass and only explores descendants of boundary
+// cells (cost follows PERIMETER). Both produce the same cells (tests
+// verify cell-for-cell identity); the library always builds top-down.
+// This bench shows how far bottom-up falls behind as the footprint grows.
 
 #include <cstdio>
 
@@ -56,9 +56,9 @@ void Run() {
   }
   table.Print();
   PrintNote("");
-  PrintNote("expected shape: bottom-up wins for small footprints (cheap scanline,");
-  PrintNote("no per-level hashing); top-down wins once interior area dwarfs the");
-  PrintNote("perimeter — its cost stays ~linear in boundary cells.");
+  PrintNote("expected shape: the two stay close for the smallest footprints;");
+  PrintNote("top-down pulls ahead as interior area dwarfs the perimeter — its");
+  PrintNote("cost stays ~linear in boundary cells, bottom-up's follows area.");
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <unordered_set>
 
 #include "raster/rasterizer.h"
 
@@ -10,28 +9,89 @@
 
 namespace dbsa::raster {
 
+namespace {
+
+// Level of the smallest cell holding both leaf keys (the bounding-box
+// corners of a polygon).
+int StartLevel(uint64_t lo, uint64_t hi) {
+  for (int l = CellId::kMaxLevel; l > 0; --l) {
+    const int shift = 2 * (CellId::kMaxLevel - l);
+    if ((lo >> shift) == (hi >> shift)) return l;
+  }
+  return 0;
+}
+
+void SortById(std::vector<HrCell>* cells) {
+  std::sort(cells->begin(), cells->end(),
+            [](const HrCell& a, const HrCell& b) { return a.id < b.id; });
+}
+
+// Depth-first refinement over the sorted finest-level boundary codes. A
+// node owns the contiguous run of codes under its prefix: an empty run is
+// an off-boundary (homogeneous) cell, a run at max_level is one boundary
+// cell, anything else splits four ways on the next two bits.
+struct TopDownRefiner {
+  const geom::Polygon& poly;
+  const Grid& grid;
+  const RasterOptions& opts;
+  int max_level;
+  const std::vector<uint64_t>& codes;
+  std::vector<HrCell> out;
+
+  // Emits the cells of node (level, prefix), whose codes are [begin, end).
+  void Refine(int level, uint64_t prefix, size_t begin, size_t end) {
+    if (begin == end) {
+      // Off-boundary cell: homogeneous; its center decides.
+      uint32_t ix, iy;
+      sfc::MortonDecode(prefix, &ix, &iy);
+      if (poly.Contains(grid.CellBoxXY(level, ix, iy).Center())) {
+        out.push_back({CellId::FromLevelPrefix(level, prefix), /*boundary=*/false});
+      }
+      return;
+    }
+    if (level == max_level) {
+      if (!opts.conservative) {
+        uint32_t ix, iy;
+        sfc::MortonDecode(prefix, &ix, &iy);
+        if (geom::BoxCoverageFraction(poly, grid.CellBoxXY(level, ix, iy)) <
+            opts.min_coverage) {
+          return;
+        }
+      }
+      out.push_back({CellId::FromLevelPrefix(level, prefix), /*boundary=*/true});
+      return;
+    }
+    // Child c owns the codes below the first code of child c + 1.
+    const int child_shift = 2 * (max_level - level - 1);
+    for (uint64_t child = 0; child < 4; ++child) {
+      const uint64_t child_prefix = (prefix << 2) | child;
+      size_t child_end = end;
+      if (child < 3) {
+        child_end = static_cast<size_t>(
+            std::lower_bound(codes.begin() + static_cast<std::ptrdiff_t>(begin),
+                             codes.begin() + static_cast<std::ptrdiff_t>(end),
+                             (child_prefix + 1) << child_shift) -
+            codes.begin());
+      }
+      Refine(level + 1, child_prefix, begin, child_end);
+      begin = child_end;
+    }
+  }
+};
+
+}  // namespace
+
 HierarchicalRaster HierarchicalRaster::BuildEpsilon(const geom::Polygon& poly,
                                                     const Grid& grid, double epsilon,
                                                     const RasterOptions& opts) {
-  // Estimate the finest-level footprint; the bottom-up path materializes
-  // every interior cell, so switch to top-down when that would be large.
-  const int level = grid.LevelForEpsilon(epsilon);
-  const double cs = grid.CellSize(level);
-  const double bbox_cells = (poly.bounds().Width() / cs) * (poly.bounds().Height() / cs);
-  // The bottom-up scanline materializes every finest-level interior cell
-  // (O(area)); top-down only touches descendants of boundary cells
-  // (O(perimeter)). The crossover sits around tens of thousands of cells.
-  if (bbox_cells > 32768.0) {
-    return BuildEpsilonTopDown(poly, grid, epsilon, opts);
-  }
-  return BuildEpsilonBottomUp(poly, grid, epsilon, opts);
+  return BuildEpsilonTopDown(poly, grid, epsilon, opts);
 }
 
 HierarchicalRaster HierarchicalRaster::BuildLevel(const geom::Polygon& poly,
                                                   const Grid& grid, int level,
                                                   const RasterOptions& opts) {
   // AchievedEpsilon(level) is exactly the cell diagonal, so LevelForEpsilon
-  // maps it back to `level` and both construction paths see the same level.
+  // maps it back to `level`.
   return BuildEpsilon(poly, grid, grid.AchievedEpsilon(level), opts);
 }
 
@@ -76,6 +136,7 @@ HierarchicalRaster HierarchicalRaster::BuildEpsilonBottomUp(const geom::Polygon&
     }
   }
 
+  SortById(&out);
   HierarchicalRaster hr;
   hr.FinalizeFrom(std::move(out));
   return hr;
@@ -86,70 +147,38 @@ HierarchicalRaster HierarchicalRaster::BuildEpsilonTopDown(const geom::Polygon& 
                                                            double epsilon,
                                                            const RasterOptions& opts) {
   const int max_level = grid.LevelForEpsilon(epsilon);
-
-  // Start at the smallest cell containing the polygon's bounding box.
   const uint64_t lo = grid.LeafKey(poly.bounds().min);
-  const uint64_t hi = grid.LeafKey(poly.bounds().max);
-  int start_level = 0;
-  for (int l = CellId::kMaxLevel; l >= 0; --l) {
-    const int shift = 2 * (CellId::kMaxLevel - l);
-    if ((lo >> shift) == (hi >> shift)) {
-      start_level = l;
-      break;
-    }
-  }
-  start_level = std::min(start_level, max_level);
+  const int start_level =
+      std::min(StartLevel(lo, grid.LeafKey(poly.bounds().max)), max_level);
+  const uint64_t start_prefix = lo >> (2 * (CellId::kMaxLevel - start_level));
 
-  // Per-level boundary cells (prefix -> present), from edge supercover.
-  // Total work is O(perimeter / finest cell size), independent of area.
-  std::vector<std::unordered_set<uint64_t>> boundary_by_level(
-      static_cast<size_t>(max_level + 1));
-  for (int l = start_level; l <= max_level; ++l) {
-    auto& set = boundary_by_level[static_cast<size_t>(l)];
-    poly.ForEachEdge([&](const geom::Point& a, const geom::Point& b) {
-      TraverseSegment(a, b, grid, l, [&](uint32_t ix, uint32_t iy) {
-        set.insert(sfc::MortonEncode(ix, iy));
-      });
+  // Boundary cells at max_level only, from one supercover pass over every
+  // edge: sorted, unique Morton codes. A coarser cell is on the boundary
+  // iff its prefix range holds a code, so no per-level pass is needed.
+  std::vector<uint64_t> codes;
+  poly.ForEachEdge([&](const geom::Point& a, const geom::Point& b) {
+    TraverseSegment(a, b, grid, max_level, [&](uint32_t ix, uint32_t iy) {
+      codes.push_back(sfc::MortonEncode(ix, iy));
     });
-  }
+  });
+  std::sort(codes.begin(), codes.end());
+  codes.erase(std::unique(codes.begin(), codes.end()), codes.end());
 
-  std::vector<HrCell> out;
-  // Iterative DFS over descendants of boundary cells.
-  std::vector<std::pair<int, uint64_t>> stack;  // (level, morton prefix).
-  stack.push_back({start_level,
-                   lo >> (2 * (CellId::kMaxLevel - start_level))});
-  while (!stack.empty()) {
-    const auto [l, prefix] = stack.back();
-    stack.pop_back();
-    const bool is_boundary = boundary_by_level[static_cast<size_t>(l)].count(prefix) > 0;
-    if (!is_boundary) {
-      // Off-boundary cell: homogeneous; its center decides.
-      uint32_t ix, iy;
-      sfc::MortonDecode(prefix, &ix, &iy);
-      if (poly.Contains(grid.CellBoxXY(l, ix, iy).Center())) {
-        out.push_back({CellId::FromLevelPrefix(l, prefix), /*boundary=*/false});
-      }
-      continue;
-    }
-    if (l == max_level) {
-      if (!opts.conservative) {
-        uint32_t ix, iy;
-        sfc::MortonDecode(prefix, &ix, &iy);
-        if (geom::BoxCoverageFraction(poly, grid.CellBoxXY(l, ix, iy)) <
-            opts.min_coverage) {
-          continue;
-        }
-      }
-      out.push_back({CellId::FromLevelPrefix(l, prefix), /*boundary=*/true});
-      continue;
-    }
-    for (uint64_t child = 0; child < 4; ++child) {
-      stack.push_back({l + 1, (prefix << 2) | child});
-    }
-  }
+  // Refine needs every code under its node's prefix. LeafKey and the
+  // traversal round independently, so keep only the start cell's codes.
+  const int start_shift = 2 * (max_level - start_level);
+  const auto first =
+      std::lower_bound(codes.begin(), codes.end(), start_prefix << start_shift);
+  const auto last =
+      std::lower_bound(first, codes.end(), (start_prefix + 1) << start_shift);
 
+  TopDownRefiner refiner{poly, grid, opts, max_level, codes, {}};
+  refiner.Refine(start_level, start_prefix, static_cast<size_t>(first - codes.begin()),
+                 static_cast<size_t>(last - codes.begin()));
+
+  // Children are visited in order 0..3, so the cells come out in Z-order.
   HierarchicalRaster hr;
-  hr.FinalizeFrom(std::move(out));
+  hr.FinalizeFrom(std::move(refiner.out));
   return hr;
 }
 
@@ -158,15 +187,7 @@ HierarchicalRaster HierarchicalRaster::BuildBudget(const geom::Polygon& poly,
                                                    const RasterOptions& opts) {
   // Start at the smallest cell containing the polygon's bounding box.
   const uint64_t lo = grid.LeafKey(poly.bounds().min);
-  const uint64_t hi = grid.LeafKey(poly.bounds().max);
-  int start_level = 0;
-  for (int l = CellId::kMaxLevel; l >= 0; --l) {
-    const int shift = 2 * (CellId::kMaxLevel - l);
-    if ((lo >> shift) == (hi >> shift)) {
-      start_level = l;
-      break;
-    }
-  }
+  const int start_level = StartLevel(lo, grid.LeafKey(poly.bounds().max));
 
   std::deque<CellId> queue;
   queue.push_back(CellId::FromLevelPrefix(
@@ -197,14 +218,17 @@ HierarchicalRaster HierarchicalRaster::BuildBudget(const geom::Polygon& poly,
     }
   }
 
+  // Breadth-first output: levels interleave, so restore Z-order.
+  SortById(&out);
   HierarchicalRaster hr;
   hr.FinalizeFrom(std::move(out));
   return hr;
 }
 
 void HierarchicalRaster::FinalizeFrom(std::vector<HrCell> cells) {
-  std::sort(cells.begin(), cells.end(),
-            [](const HrCell& a, const HrCell& b) { return a.id < b.id; });
+  DBSA_DCHECK(std::is_sorted(
+      cells.begin(), cells.end(),
+      [](const HrCell& a, const HrCell& b) { return a.id < b.id; }));
   cells_ = std::move(cells);
   range_lo_.resize(cells_.size());
   range_hi_.resize(cells_.size());

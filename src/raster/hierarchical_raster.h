@@ -26,23 +26,25 @@ struct HrCell {
 class HierarchicalRaster {
  public:
   /// Epsilon-driven: boundary cells at LevelForEpsilon(epsilon), interior
-  /// cells as large as possible. Chooses between the bottom-up scanline
-  /// construction (fast for small footprints) and the top-down refinement
-  /// (memory-bounded for huge ones) automatically.
+  /// cells as large as possible. Builds with BuildEpsilonTopDown at every
+  /// footprint.
   static HierarchicalRaster BuildEpsilon(const geom::Polygon& poly, const Grid& grid,
                                          double epsilon,
                                          const RasterOptions& opts = {});
 
   /// Bottom-up scanline construction: rasterize at the epsilon level and
   /// merge interior cells. Cost grows with the polygon's area in finest
-  /// cells.
+  /// cells. Produces the same cells as BuildEpsilonTopDown; kept as the
+  /// ablation arm and as a test oracle.
   static HierarchicalRaster BuildEpsilonBottomUp(const geom::Polygon& poly,
                                                  const Grid& grid, double epsilon,
                                                  const RasterOptions& opts = {});
 
-  /// Top-down refinement: per-level supercover boundary detection plus
-  /// center tests for off-boundary children. Cost grows only with the
-  /// polygon's perimeter in finest cells, independent of area.
+  /// Top-down refinement: one supercover pass at the epsilon level into
+  /// sorted Morton codes, then a depth-first descent from the bounding
+  /// box's cell that splits the codes by prefix; cells holding no code are
+  /// decided by a center test. Cost is O(perimeter cells * log) plus one
+  /// center test per off-boundary node, independent of area.
   static HierarchicalRaster BuildEpsilonTopDown(const geom::Polygon& poly,
                                                 const Grid& grid, double epsilon,
                                                 const RasterOptions& opts = {});
@@ -77,6 +79,7 @@ class HierarchicalRaster {
   size_t MemoryBytes() const;
 
  private:
+  /// Takes cells already sorted by id (Z-order).
   void FinalizeFrom(std::vector<HrCell> cells);
 
   std::vector<HrCell> cells_;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <unordered_set>
 
 #include "geom/polygon_ops.h"
 
@@ -17,91 +15,23 @@ inline uint64_t PackXY(uint32_t ix, uint32_t iy) {
 
 }  // namespace
 
-void TraverseSegment(const geom::Point& a, const geom::Point& b, const Grid& grid,
-                     int level, const std::function<void(uint32_t, uint32_t)>& visit) {
-  const double cs = grid.CellSize(level);
-  const double inv = 1.0 / cs;
-  // Segment endpoints in cell coordinates.
-  const double ax = (a.x - grid.origin().x) * inv;
-  const double ay = (a.y - grid.origin().y) * inv;
-  const double bx = (b.x - grid.origin().x) * inv;
-  const double by = (b.y - grid.origin().y) * inv;
-
-  const double max_idx = static_cast<double>(grid.CellsPerSide(level) - 1);
-  auto clamp_idx = [max_idx](double v) {
-    return static_cast<int64_t>(std::clamp(std::floor(v), 0.0, max_idx));
-  };
-
-  int64_t ix = clamp_idx(ax);
-  int64_t iy = clamp_idx(ay);
-  const int64_t jx = clamp_idx(bx);
-  const int64_t jy = clamp_idx(by);
-
-  const double dx = bx - ax;
-  const double dy = by - ay;
-  const int64_t step_x = (dx > 0) ? 1 : ((dx < 0) ? -1 : 0);
-  const int64_t step_y = (dy > 0) ? 1 : ((dy < 0) ? -1 : 0);
-
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  const double t_delta_x = (step_x != 0) ? std::fabs(1.0 / dx) : kInf;
-  const double t_delta_y = (step_y != 0) ? std::fabs(1.0 / dy) : kInf;
-
-  double t_max_x = kInf;
-  if (step_x > 0) {
-    t_max_x = (static_cast<double>(ix + 1) - ax) / dx;
-  } else if (step_x < 0) {
-    t_max_x = (static_cast<double>(ix) - ax) / dx;
-  }
-  double t_max_y = kInf;
-  if (step_y > 0) {
-    t_max_y = (static_cast<double>(iy + 1) - ay) / dy;
-  } else if (step_y < 0) {
-    t_max_y = (static_cast<double>(iy) - ay) / dy;
-  }
-
-  // Upper bound on steps: the L1 cell distance plus slack for corner cases.
-  int64_t guard = std::llabs(jx - ix) + std::llabs(jy - iy) + 4;
-  visit(static_cast<uint32_t>(ix), static_cast<uint32_t>(iy));
-  while ((ix != jx || iy != jy) && guard-- > 0) {
-    if (t_max_x < t_max_y) {
-      ix += step_x;
-      t_max_x += t_delta_x;
-    } else if (t_max_y < t_max_x) {
-      iy += step_y;
-      t_max_y += t_delta_y;
-    } else {
-      // Exact corner crossing: include both side cells (supercover), then
-      // step diagonally.
-      if (ix + step_x >= 0 && ix + step_x <= static_cast<int64_t>(max_idx)) {
-        visit(static_cast<uint32_t>(ix + step_x), static_cast<uint32_t>(iy));
-      }
-      if (iy + step_y >= 0 && iy + step_y <= static_cast<int64_t>(max_idx)) {
-        visit(static_cast<uint32_t>(ix), static_cast<uint32_t>(iy + step_y));
-      }
-      ix += step_x;
-      iy += step_y;
-      t_max_x += t_delta_x;
-      t_max_y += t_delta_y;
-      guard -= 1;
-    }
-    ix = std::clamp<int64_t>(ix, 0, static_cast<int64_t>(max_idx));
-    iy = std::clamp<int64_t>(iy, 0, static_cast<int64_t>(max_idx));
-    visit(static_cast<uint32_t>(ix), static_cast<uint32_t>(iy));
-  }
-}
-
 CellCover RasterizePolygon(const geom::Polygon& poly, const Grid& grid, int level,
                            const RasterOptions& opts) {
   CellCover cover;
   cover.level = level;
   if (poly.outer().size() < 3) return cover;
 
-  // Pass 1: boundary cells via supercover traversal of every edge.
-  std::unordered_set<uint64_t> boundary_set;
+  // Pass 1: boundary cells via supercover traversal of every edge, as a
+  // sorted, unique row-major (PackXY) list.
+  std::vector<uint64_t> boundary_xy;
   poly.ForEachEdge([&](const geom::Point& a, const geom::Point& b) {
-    TraverseSegment(a, b, grid, level,
-                    [&](uint32_t ix, uint32_t iy) { boundary_set.insert(PackXY(ix, iy)); });
+    TraverseSegment(a, b, grid, level, [&](uint32_t ix, uint32_t iy) {
+      boundary_xy.push_back(PackXY(ix, iy));
+    });
   });
+  std::sort(boundary_xy.begin(), boundary_xy.end());
+  boundary_xy.erase(std::unique(boundary_xy.begin(), boundary_xy.end()),
+                    boundary_xy.end());
 
   // Pass 2: interior cells via scanline parity at cell-center rows.
   const double cs = grid.CellSize(level);
@@ -110,6 +40,9 @@ CellCover RasterizePolygon(const geom::Polygon& poly, const Grid& grid, int leve
   grid.PointToXY(poly.bounds().max, level, &bx1, &by1);
 
   std::vector<double> xs;
+  // Rows ascend and spans within a row ascend, so the visited keys ascend
+  // too: a forward-only cursor into boundary_xy answers membership.
+  size_t cursor = 0;
   for (uint32_t iy = by0; iy <= by1; ++iy) {
     const double y = grid.origin().y + (static_cast<double>(iy) + 0.5) * cs;
     xs.clear();
@@ -130,7 +63,8 @@ CellCover RasterizePolygon(const geom::Polygon& poly, const Grid& grid, int leve
       hi = std::min<int64_t>(hi, bx1);
       for (int64_t ix = lo; ix <= hi; ++ix) {
         const uint64_t key = PackXY(static_cast<uint32_t>(ix), iy);
-        if (!boundary_set.count(key)) {
+        while (cursor < boundary_xy.size() && boundary_xy[cursor] < key) ++cursor;
+        if (cursor == boundary_xy.size() || boundary_xy[cursor] != key) {
           cover.interior.push_back(
               sfc::MortonEncode(static_cast<uint32_t>(ix), iy));
         }
@@ -139,10 +73,8 @@ CellCover RasterizePolygon(const geom::Polygon& poly, const Grid& grid, int leve
   }
 
   // Boundary filtering (non-conservative mode drops low-coverage cells).
-  cover.boundary.reserve(boundary_set.size());
-  // dbsa-lint-allow(determinism): membership-filter walk — the result is
-  // sorted below before anything downstream can observe an order.
-  for (const uint64_t key : boundary_set) {
+  cover.boundary.reserve(boundary_xy.size());
+  for (const uint64_t key : boundary_xy) {
     const uint32_t ix = static_cast<uint32_t>(key & 0xffffffffu);
     const uint32_t iy = static_cast<uint32_t>(key >> 32);
     if (!opts.conservative) {

@@ -10,10 +10,26 @@
 namespace dbsa::sfc {
 
 /// Spreads the low 32 bits of x so bit i moves to bit 2i.
-uint64_t SpreadBits(uint32_t x);
+inline uint64_t SpreadBits(uint32_t x) {
+  uint64_t v = x;
+  v = (v | (v << 16)) & 0x0000FFFF0000FFFFULL;
+  v = (v | (v << 8)) & 0x00FF00FF00FF00FFULL;
+  v = (v | (v << 4)) & 0x0F0F0F0F0F0F0F0FULL;
+  v = (v | (v << 2)) & 0x3333333333333333ULL;
+  v = (v | (v << 1)) & 0x5555555555555555ULL;
+  return v;
+}
 
 /// Inverse of SpreadBits: collects even-position bits.
-uint32_t CollectBits(uint64_t x);
+inline uint32_t CollectBits(uint64_t v) {
+  v &= 0x5555555555555555ULL;
+  v = (v | (v >> 1)) & 0x3333333333333333ULL;
+  v = (v | (v >> 2)) & 0x0F0F0F0F0F0F0F0FULL;
+  v = (v | (v >> 4)) & 0x00FF00FF00FF00FFULL;
+  v = (v | (v >> 8)) & 0x0000FFFF0000FFFFULL;
+  v = (v | (v >> 16)) & 0x00000000FFFFFFFFULL;
+  return static_cast<uint32_t>(v);
+}
 
 /// Interleaves (x, y) into a Morton code; x occupies even bits.
 inline uint64_t MortonEncode(uint32_t x, uint32_t y) {

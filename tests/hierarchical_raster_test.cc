@@ -1,9 +1,13 @@
 // Tests for the hierarchical raster: cell disjointness, equivalence with
-// the uniform raster's classification, budget compliance and the epsilon
-// bound in both construction modes.
+// the uniform raster's classification, cell-for-cell identity of the two
+// epsilon builders, budget compliance and the epsilon bound in both
+// construction modes.
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "data/regions.h"
 #include "raster/hierarchical_raster.h"
 #include "raster/verify.h"
 #include "test_util.h"
@@ -128,25 +132,80 @@ TEST(HrTest, BudgetModeMatchesExactnessOnRect) {
   EXPECT_EQ(hr.Classify({10, 10}, grid), CellKind::kOutside);
 }
 
-TEST(HrTest, TopDownMatchesBottomUp) {
-  // The two epsilon-driven constructions must represent the same region:
-  // identical classification everywhere (boundary cells agree exactly;
-  // interior merge granularity may differ, classification may not).
+// Cell-for-cell equality (ids and boundary flags) of the two epsilon
+// builders, and Z-order of the top-down output as it leaves the builder.
+void ExpectTopDownIdenticalToBottomUp(const geom::Polygon& poly, const Grid& grid,
+                                      double eps, const std::string& label) {
+  RasterOptions conservative;
+  RasterOptions min_coverage;
+  min_coverage.conservative = false;
+  min_coverage.min_coverage = 0.5;
+  for (const RasterOptions& opts : {conservative, min_coverage}) {
+    const std::string where =
+        label + (opts.conservative ? " conservative" : " min_coverage");
+    const HierarchicalRaster bottom_up =
+        HierarchicalRaster::BuildEpsilonBottomUp(poly, grid, eps, opts);
+    const HierarchicalRaster top_down =
+        HierarchicalRaster::BuildEpsilonTopDown(poly, grid, eps, opts);
+    const auto& a = bottom_up.cells();
+    const auto& b = top_down.cells();
+    ASSERT_EQ(a.size(), b.size()) << where;
+    for (size_t i = 0; i < a.size(); ++i) {
+      ASSERT_EQ(a[i].id, b[i].id) << where << " cell " << i << ": "
+                                  << a[i].id.ToString() << " vs " << b[i].id.ToString();
+      ASSERT_EQ(a[i].boundary, b[i].boundary) << where << " cell " << i;
+      if (i > 0) {
+        ASSERT_LT(b[i - 1].id, b[i].id) << where << " cell " << i;
+      }
+    }
+  }
+}
+
+TEST(HrTest, TopDownIdenticalToBottomUp) {
   const Grid grid({0, 0}, 256.0);
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     const geom::Polygon star = MakeStarPolygonWithHole({128, 128}, 40, 90, 18, seed);
-    const HierarchicalRaster bottom_up =
-        HierarchicalRaster::BuildEpsilonBottomUp(star, grid, 4.0);
-    const HierarchicalRaster top_down =
-        HierarchicalRaster::BuildEpsilonTopDown(star, grid, 4.0);
-    for (const geom::Point& p :
-         dbsa::testing::RandomPoints(geom::Box(20, 20, 236, 236), 3000, seed * 3)) {
-      const CellKind a = bottom_up.Classify(p, grid);
-      const CellKind b = top_down.Classify(p, grid);
-      ASSERT_EQ(a == CellKind::kOutside, b == CellKind::kOutside)
-          << "seed " << seed << " at " << p.x << "," << p.y;
-      ASSERT_EQ(a == CellKind::kBoundary, b == CellKind::kBoundary)
-          << "seed " << seed << " at " << p.x << "," << p.y;
+    for (const double eps : {2.0, 4.0, 16.0}) {
+      ExpectTopDownIdenticalToBottomUp(
+          star, grid, eps,
+          "star seed " + std::to_string(seed) + " eps " + std::to_string(eps));
+    }
+  }
+
+  // Census-like tiling regions on an offset, non-power-of-two grid.
+  data::RegionConfig config = data::CensusConfig(geom::Box(0, 0, 4096, 4096), 60);
+  config.seed = 11;
+  const data::RegionSet regions = data::GenerateRegions(config);
+  const Grid region_grid = Grid::Covering(regions.Bounds());
+  for (size_t i = 0; i < regions.polys.size(); ++i) {
+    for (const double eps : {4.0, 16.0, 64.0}) {
+      ExpectTopDownIdenticalToBottomUp(
+          regions.polys[i], region_grid, eps,
+          "region " + std::to_string(i) + " eps " + std::to_string(eps));
+    }
+  }
+
+  // Edges exactly on coarse-level grid lines (256 / 4 = 64, 256 / 8 = 32).
+  for (const geom::Polygon& rect :
+       {MakeRectPolygon(64, 64, 192, 192), MakeRectPolygon(32, 96, 224, 128),
+        MakeRectPolygon(0, 0, 128, 64), MakeRectPolygon(64, 32, 65, 224)}) {
+    for (const double eps : {2.0, 4.0, 16.0}) {
+      ExpectTopDownIdenticalToBottomUp(rect, grid, eps,
+                                       "rect eps " + std::to_string(eps));
+    }
+  }
+
+  // Vertices on finest-level grid corners (multiples of the 2 m cell at
+  // eps = 4), including 45-degree edges through corner after corner.
+  const std::vector<geom::Polygon> cornered = {
+      geom::Polygon(geom::Ring{{10, 10}, {200, 30}, {60, 180}}),
+      geom::Polygon(geom::Ring{{128, 32}, {224, 128}, {128, 224}, {32, 128}}),
+      geom::Polygon(geom::Ring{{16, 16}, {240, 16}, {240, 240}, {128, 128}, {16, 240}})};
+  for (geom::Polygon poly : cornered) {
+    poly.Normalize();
+    for (const double eps : {2.8, 4.0, 16.0}) {
+      ExpectTopDownIdenticalToBottomUp(poly, grid, eps,
+                                       "cornered eps " + std::to_string(eps));
     }
   }
 }
