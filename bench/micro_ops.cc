@@ -115,7 +115,9 @@ struct LookupFixture {
 void BM_LookupSearchStrategy(benchmark::State& state) {
   LookupFixture& f = LookupFixture::Get();
   const auto strategy = static_cast<join::SearchStrategy>(state.range(0));
-  // Drive through QueryCells on a singleton cell per probe key.
+  // Drive through QueryCells on a singleton cell per probe key. A
+  // singleton gives kSortedSweep no cursor to resume from, so its row is
+  // the sweep's cold-start cost: a galloping search from position 0.
   size_t i = 0;
   for (auto _ : state) {
     const uint64_t key = f.probes[i++ & 4095];
@@ -135,6 +137,7 @@ BENCHMARK(dbsa::BM_HilbertEncode);
 BENCHMARK(dbsa::BM_LookupSearchStrategy)
     ->Arg(static_cast<int>(dbsa::join::SearchStrategy::kBinarySearch))
     ->Arg(static_cast<int>(dbsa::join::SearchStrategy::kRadixSpline))
-    ->Arg(static_cast<int>(dbsa::join::SearchStrategy::kBTree));
+    ->Arg(static_cast<int>(dbsa::join::SearchStrategy::kBTree))
+    ->Arg(static_cast<int>(dbsa::join::SearchStrategy::kSortedSweep));
 
 BENCHMARK_MAIN();

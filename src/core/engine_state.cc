@@ -223,7 +223,7 @@ AggregateAnswer ExecuteAggregate(const EngineState& state, join::AggKind agg,
         const std::shared_ptr<const raster::HierarchicalRaster> hr =
             HrForPolygon(state, hooks, j, polys[j], epsilon);
         per_poly[j] = state.point_index->QueryCells(*hr,
-                                                    join::SearchStrategy::kRadixSpline);
+                                                    join::SearchStrategy::kSortedSweep);
       };
       RunMaybeParallel(hooks, polys.size(), one_poly);
       // Stage 2 — combine into regions serially in polygon order, keeping
@@ -236,7 +236,7 @@ AggregateAnswer ExecuteAggregate(const EngineState& state, join::AggKind agg,
         per_region[state.regions->region_of[j]].Merge(per_poly[j]);
       }
       answer.stats.index_bytes =
-          state.point_index->MemoryBytes(join::SearchStrategy::kRadixSpline);
+          state.point_index->MemoryBytes(join::SearchStrategy::kSortedSweep);
       RowsFromRegionAggregates(per_region, agg, &answer.rows);
       break;
     }
@@ -348,14 +348,14 @@ CountAnswer ExecuteCount(const EngineState& state, const geom::Polygon& poly,
     const std::shared_ptr<const raster::HierarchicalRaster> hr =
         HrForPolygon(state, hooks, kAdHocPolygon, poly, epsilon);
     const join::CellAggregate agg =
-        state.point_index->QueryCells(*hr, join::SearchStrategy::kRadixSpline);
+        state.point_index->QueryCells(*hr, join::SearchStrategy::kSortedSweep);
     out.range = join::CountRange(agg);
     out.stats.plan = query::PlanKind::kPointIndexJoin;
     out.stats.hr_level = state.grid.LevelForEpsilon(epsilon);
     out.stats.achieved_epsilon = state.grid.AchievedEpsilon(out.stats.hr_level);
     out.stats.query_cells = agg.query_cells;
     out.stats.index_bytes =
-        state.point_index->MemoryBytes(join::SearchStrategy::kRadixSpline);
+        state.point_index->MemoryBytes(join::SearchStrategy::kSortedSweep);
   }
   out.stats.elapsed_ms = timer.Millis();
   return out;
@@ -375,14 +375,14 @@ SelectAnswer ExecuteSelect(const EngineState& state, const geom::Polygon& poly,
     const double epsilon = bound.EffectiveEpsilon(state.grid);
     const std::shared_ptr<const raster::HierarchicalRaster> hr =
         HrForPolygon(state, hooks, kAdHocPolygon, poly, epsilon);
-    state.point_index->SelectIds(*hr, join::SearchStrategy::kRadixSpline,
+    state.point_index->SelectIds(*hr, join::SearchStrategy::kSortedSweep,
                                  &out.ids);
     out.stats.plan = query::PlanKind::kPointIndexJoin;
     out.stats.hr_level = state.grid.LevelForEpsilon(epsilon);
     out.stats.achieved_epsilon = state.grid.AchievedEpsilon(out.stats.hr_level);
     out.stats.query_cells = hr->cells().size();
     out.stats.index_bytes =
-        state.point_index->MemoryBytes(join::SearchStrategy::kRadixSpline);
+        state.point_index->MemoryBytes(join::SearchStrategy::kSortedSweep);
   }
   out.stats.elapsed_ms = timer.Millis();
   return out;

@@ -270,7 +270,7 @@ size_t ShardedState::IndexBytes() const {
   for (const Shard& shard : shards_) {
     if (shard.state != nullptr && shard.state->point_index.has_value()) {
       bytes +=
-          shard.state->point_index->MemoryBytes(join::SearchStrategy::kRadixSpline);
+          shard.state->point_index->MemoryBytes(join::SearchStrategy::kSortedSweep);
     }
   }
   return bytes;
@@ -309,7 +309,7 @@ join::CellAggregate ScatterGatherCells(const ShardedState& sharded,
     const std::vector<raster::HrCell> cells = sharded.PruneCellsForShard(
         s, hr.cells().data(), routes.data(), hr.cells().size());
     partials[t] = sharded.shard(s).state->point_index->QueryCells(
-        cells.data(), cells.size(), join::SearchStrategy::kRadixSpline);
+        cells.data(), cells.size(), join::SearchStrategy::kSortedSweep);
   };
   if (hr.cells().size() >= kShardFanOutMinCells) {
     RunMaybeParallel(hooks, surviving.size(), one_shard);
@@ -471,7 +471,7 @@ SelectAnswer ExecuteSelect(const ShardedState& sharded, const geom::Polygon& pol
     per_shard_cells[t] = cells.size();
     std::vector<uint32_t> local;
     shard.state->point_index->SelectIds(cells.data(), cells.size(),
-                                        join::SearchStrategy::kRadixSpline, &local);
+                                        join::SearchStrategy::kSortedSweep, &local);
     per_shard[t].reserve(local.size());
     for (const uint32_t l : local) per_shard[t].push_back(shard.global_ids[l]);
   });

@@ -1,5 +1,7 @@
 #include "join/point_index_join.h"
 
+#include "util/check.h"
+
 namespace dbsa::join {
 
 const char* SearchStrategyName(SearchStrategy s) {
@@ -10,6 +12,8 @@ const char* SearchStrategyName(SearchStrategy s) {
       return "RS";
     case SearchStrategy::kBTree:
       return "B+tree";
+    case SearchStrategy::kSortedSweep:
+      return "Sweep";
   }
   return "?";
 }
@@ -59,6 +63,8 @@ size_t PointIndex::LowerBound(uint64_t key, SearchStrategy s) const {
     }
     case SearchStrategy::kBTree:
       return btree_.LowerBoundRank(key);
+    case SearchStrategy::kSortedSweep:
+      return GallopLowerBound(key, 0);
   }
   return 0;
 }
@@ -66,6 +72,37 @@ size_t PointIndex::LowerBound(uint64_t key, SearchStrategy s) const {
 size_t PointIndex::UpperBound(uint64_t key, SearchStrategy s) const {
   if (key == UINT64_MAX) return index_.size();
   return LowerBound(key + 1, s);
+}
+
+size_t PointIndex::GallopLowerBound(uint64_t key, size_t hint) const {
+  const std::vector<uint64_t>& keys = index_.keys().keys();
+  const size_t n = keys.size();
+  DBSA_DCHECK(hint <= n);
+  // keys[hint - 1] < key means every key before the hint is < key.
+  size_t lo = (hint > 0 && keys[hint - 1] >= key) ? 0 : hint;
+  // Invariant: keys[0, lo) < key. Probe lo, lo + 1, lo + 3, ... until a
+  // key >= key bounds the answer, then binary-search the bracket.
+  size_t step = 1;
+  while (true) {
+    const size_t probe = lo + step - 1;
+    if (probe >= n) return index_.keys().LowerBoundFrom(key, lo, n);
+    if (keys[probe] >= key) return index_.keys().LowerBoundFrom(key, lo, probe);
+    lo = probe + 1;
+    step *= 2;
+  }
+}
+
+void PointIndex::CellPositions(const raster::CellId& cell, SearchStrategy s,
+                               size_t* cursor, size_t* lo, size_t* hi) const {
+  if (s != SearchStrategy::kSortedSweep) {
+    *lo = LowerBound(cell.LeafKeyMin(), s);
+    *hi = UpperBound(cell.LeafKeyMax(), s);
+    return;
+  }
+  *lo = GallopLowerBound(cell.LeafKeyMin(), *cursor);
+  const uint64_t max_key = cell.LeafKeyMax();
+  *hi = max_key == UINT64_MAX ? index_.size() : GallopLowerBound(max_key + 1, *lo);
+  *cursor = *hi;
 }
 
 CellAggregate PointIndex::QueryCells(const raster::HierarchicalRaster& hr,
@@ -76,12 +113,12 @@ CellAggregate PointIndex::QueryCells(const raster::HierarchicalRaster& hr,
 CellAggregate PointIndex::QueryCells(const raster::HrCell* cells, size_t num_cells,
                                      SearchStrategy strategy) const {
   CellAggregate agg;
+  size_t cursor = 0;
   for (size_t c = 0; c < num_cells; ++c) {
     const raster::HrCell& cell = cells[c];
-    const uint64_t lo_key = cell.id.LeafKeyMin();
-    const uint64_t hi_key = cell.id.LeafKeyMax();
-    const size_t lo = LowerBound(lo_key, strategy);
-    const size_t hi = UpperBound(hi_key, strategy);
+    size_t lo = 0;
+    size_t hi = 0;
+    CellPositions(cell.id, strategy, &cursor, &lo, &hi);
     agg.searches += 2;
     ++agg.query_cells;
     const double cnt = static_cast<double>(index_.CountBetween(lo, hi));
@@ -103,8 +140,10 @@ CellAggregate PointIndex::QueryCells(const raster::HrCell* cells, size_t num_cel
 CellAggregate PointIndex::QueryCellRange(const raster::CellId& cell,
                                          SearchStrategy strategy) const {
   CellAggregate agg;
-  const size_t lo = LowerBound(cell.LeafKeyMin(), strategy);
-  const size_t hi = UpperBound(cell.LeafKeyMax(), strategy);
+  size_t cursor = 0;
+  size_t lo = 0;
+  size_t hi = 0;
+  CellPositions(cell, strategy, &cursor, &lo, &hi);
   agg.searches = 2;
   agg.query_cells = 1;
   agg.count = static_cast<double>(index_.CountBetween(lo, hi));
@@ -124,9 +163,11 @@ size_t PointIndex::SelectIds(const raster::HrCell* cells, size_t num_cells,
                              SearchStrategy strategy,
                              std::vector<uint32_t>* out) const {
   const size_t before = out->size();
+  size_t cursor = 0;
   for (size_t c = 0; c < num_cells; ++c) {
-    const size_t lo = LowerBound(cells[c].id.LeafKeyMin(), strategy);
-    const size_t hi = UpperBound(cells[c].id.LeafKeyMax(), strategy);
+    size_t lo = 0;
+    size_t hi = 0;
+    CellPositions(cells[c].id, strategy, &cursor, &lo, &hi);
     index_.CollectIds(lo, hi, out);
   }
   return out->size() - before;
@@ -150,6 +191,8 @@ size_t PointIndex::MemoryBytes(SearchStrategy strategy) const {
     case SearchStrategy::kBTree:
       bytes += btree_.MemoryBytes();
       break;
+    case SearchStrategy::kSortedSweep:
+      break;  // Reads only the sorted keys and prefix sums.
   }
   return bytes;
 }

@@ -3,7 +3,9 @@
 // approximated by hierarchical-raster query cells; each query cell turns
 // into one contiguous key range answered by two searches. The search
 // strategy is pluggable — binary search, RadixSpline (learned) or a
-// B+-tree — which is exactly the comparison of Figure 4.
+// B+-tree, which is exactly the comparison of Figure 4 — plus a sorted
+// sweep that merge-joins the Z-ordered cells with the sorted keys, which
+// is what the serving paths run.
 
 #ifndef DBSA_JOIN_POINT_INDEX_JOIN_H_
 #define DBSA_JOIN_POINT_INDEX_JOIN_H_
@@ -22,7 +24,19 @@
 namespace dbsa::join {
 
 /// Which structure answers the lower/upper-bound searches.
-enum class SearchStrategy { kBinarySearch, kRadixSpline, kBTree };
+///
+/// kBinarySearch, kRadixSpline and kBTree search every query cell
+/// independently (Figure 4's arms). kSortedSweep carries a cursor across
+/// the cells of one call: each cell's bounds are galloping searches that
+/// start at the previous cell's upper position, so HR cells, which arrive
+/// in the keys' Z-order, cost O(log gap) each instead of two full
+/// searches. The hint is used only when every key before the cursor is
+/// below the searched key (checked as keys[cursor - 1] < key); otherwise
+/// the search restarts from position 0. Every strategy therefore returns
+/// the exact lower_bound positions for ANY cell order — unsorted, nested
+/// or repeated cells included — and all four give bit-identical
+/// aggregates and id lists.
+enum class SearchStrategy { kBinarySearch, kRadixSpline, kBTree, kSortedSweep };
 
 const char* SearchStrategyName(SearchStrategy s);
 
@@ -69,8 +83,8 @@ struct CellAggregate {
   }
 };
 
-/// Sorted linearized point index with prefix-sum aggregates and three
-/// interchangeable search strategies.
+/// Sorted linearized point index with prefix-sum aggregates and four
+/// interchangeable search strategies (see SearchStrategy).
 class PointIndex {
  public:
   struct Options {
@@ -139,6 +153,15 @@ class PointIndex {
   // Positions of the first key >= key under the chosen strategy.
   size_t LowerBound(uint64_t key, SearchStrategy s) const;
   size_t UpperBound(uint64_t key, SearchStrategy s) const;
+
+  // Position of the first key >= key, galloping forward from `hint` when
+  // keys[hint - 1] < key and from 0 otherwise (the kSortedSweep search).
+  size_t GallopLowerBound(uint64_t key, size_t hint) const;
+
+  // Positions [*lo, *hi) of the keys inside `cell`. kSortedSweep starts
+  // from *cursor and leaves *hi there; the other strategies ignore it.
+  void CellPositions(const raster::CellId& cell, SearchStrategy s,
+                     size_t* cursor, size_t* lo, size_t* hi) const;
 
   raster::Grid grid_;
   index::PrefixSumIndex index_;

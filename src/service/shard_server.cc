@@ -180,14 +180,14 @@ GatherPartial ShardServer::Dispatch(const ScatterRequest& request) {
   switch (request.kind) {
     case ScatterRequest::Kind::kAggregateCells: {
       out.aggregate = state_->point_index->QueryCells(
-          cells, num_cells, join::SearchStrategy::kRadixSpline);
+          cells, num_cells, join::SearchStrategy::kSortedSweep);
       break;
     }
     case ScatterRequest::Kind::kSelectIds: {
       out.probe_cells = num_cells;
       std::vector<uint32_t> local;
       state_->point_index->SelectIds(cells, num_cells,
-                                     join::SearchStrategy::kRadixSpline, &local);
+                                     join::SearchStrategy::kSortedSweep, &local);
       out.keyed_ids.reserve(local.size());
       // Keys computed from the shard's own copy of the point (identical
       // bits to the base table row), ids remapped to base rows: the
