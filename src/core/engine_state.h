@@ -150,8 +150,8 @@ struct ExecHooks {
 };
 
 // ---- executor building blocks -----------------------------------------
-// Shared by the unsharded executor below and the sharded scatter-gather
-// executor (core/sharded_state.h) so the two paths cannot drift apart —
+// Shared by the unsharded executor below and the sharded executors
+// (service/shard_server.h) so the two paths cannot drift apart —
 // the sharded merge identity depends on them performing the exact same
 // plan resolution and row assembly.
 

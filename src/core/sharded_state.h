@@ -1,5 +1,6 @@
-// SFC-sharded execution state — the scaling layer between one immutable
-// EngineState snapshot and a multi-core (later multi-node) deployment.
+// SFC-sharded state — the partitioning and routing layer between one
+// immutable EngineState snapshot and a multi-core or multi-node
+// deployment.
 //
 // The point table is partitioned into K spatially-local shards by the
 // Hilbert rank of each point's coordinates: points are ordered along the
@@ -10,36 +11,13 @@
 // table and, critically, the base GRID, so cell keys and epsilon levels
 // agree across shards.
 //
-// Query execution is scatter-gather:
-//
-//   scatter  the query's HR approximation cells are routed only to shards
-//            whose point bounds intersect them (shard pruning — exact
-//            integer leaf-coordinate tests, no floating-point slack);
-//   execute  each surviving shard answers its cell subset from its local
-//            point index (fanned out via ExecHooks::parallel_for);
-//   gather   shard partials merge in ascending shard order via
-//            CellAggregate::Merge, and per-region combination proceeds
-//            exactly like the unsharded point-index plan.
-//
-// Merge identity (per pinned plan): shards partition the points, every
-// point's home cell survives pruning for its own shard, and the gather
-// order is canonical — so COUNT aggregates, result ranges and selections
-// are byte-identical to the unsharded engine for any shard count and any
-// thread count. SUM/AVG aggregates match bit-for-bit as well: range sums
-// travel as Neumaier-compensated (error-free transformation) pairs from
-// the prefix arrays through CellAggregate::Merge (util/compensated.h),
-// so partial sums are exact — association order never rounds — for any
-// attribute column whose running sums fit the pair's ~106-bit window
-// (every realistic column; previously the contract required dyadic
-// values). Tested with adversarial non-dyadic attributes at
-// K in {1,7,16} in sharded_state_test.cc.
-// Under Mode::kAuto the identity covers the EXECUTION of whichever plan
-// is chosen, not the choice itself: the shard-aware cost model (see
-// QueryProfile::parallel_shards) may legitimately pick a different plan
-// than an unsharded engine would — exactly as the serving layer's
-// hr_cache_available advertisement already does — and different plans
-// answer within the same distance bound but not bit-identically. Pin the
-// plan with an explicit Mode to compare executions across shard counts.
+// Routing: a query's HR approximation cells are routed only to shards
+// whose curve run and point bounds intersect them (shard pruning — exact
+// integer leaf-coordinate tests, no floating-point slack), and each
+// surviving shard receives exactly its pruned cell slice. Execution is
+// not here: scatter/gather over these routes is service::ShardRouter
+// (service/shard_server.h), which runs the slices in process, over a
+// loopback transport or over sockets, and documents the merge identity.
 
 #ifndef DBSA_CORE_SHARDED_STATE_H_
 #define DBSA_CORE_SHARDED_STATE_H_
@@ -72,8 +50,8 @@ struct ShardingOptions {
   /// a shard-server process keeps exactly one slice, and building the
   /// other K-1 copies + indexes first makes cluster startup O(K) per
   /// process. Routing metadata is still built for every shard. The
-  /// in-process scatter executors need every slice, so has_slices() is
-  /// false unless all of them were built.
+  /// direct carrier (service::ShardRouter without a transport) needs
+  /// every slice, so has_slices() is false unless all of them were built.
   int only_slice = -1;
 };
 
@@ -135,9 +113,9 @@ class ShardedState {
   const EngineState& base() const { return *base_; }
   const std::shared_ptr<const EngineState>& base_ptr() const { return base_; }
   size_t num_shards() const { return shards_.size(); }
-  /// False iff built with build_slices == false: routing/pruning work,
-  /// the in-process scatter executors (which need shard(s).state) do not
-  /// (they DBSA_CHECK), and IndexBytes() reports 0.
+  /// False iff built with build_slices == false (or only_slice): routing
+  /// and pruning work, the direct carrier (which needs shard(s).state)
+  /// does not (its constructor DBSA_CHECKs), and IndexBytes() reports 0.
   bool has_slices() const { return has_slices_; }
   const Shard& shard(size_t i) const { return shards_[i]; }
   const std::vector<Shard>& shards() const { return shards_; }
@@ -176,9 +154,8 @@ class ShardedState {
   /// Cells of `hr` that intersect shard `s` (the shard's scatter slice).
   /// This IS the message payload of the distribution seam: a serialized
   /// ScatterRequest (service/transport.h) carries exactly this slice to
-  /// the shard's server, and the in-process executors below consume it
-  /// directly — the two paths share one routing function so they cannot
-  /// drift.
+  /// the shard's server, and the direct carrier executes it in process —
+  /// every carrier shares this one routing function.
   std::vector<raster::HrCell> PruneCellsForShard(size_t s,
                                                  const raster::HrCell* cells,
                                                  const CellRoute* routes,
@@ -201,54 +178,6 @@ class ShardedState {
   int hilbert_level_ = 16;
   bool has_slices_ = true;
 };
-
-/// Below this many approximation cells a query's shard fan-out cannot
-/// amortize the task-submission overhead; the scatter runs on the calling
-/// thread instead. Results are identical either way — only scheduling
-/// changes. Shared by the in-process executors below and the
-/// transport-backed shard-server executors (service/shard_server.h) so
-/// the two paths schedule identically.
-inline constexpr size_t kShardFanOutMinCells = 256;
-
-/// Scatter-gather equivalents of the EngineState Execute* functions.
-/// Per pinned plan, results are byte-identical to the unsharded
-/// functions (see the merge identity above — Mode::kAuto may resolve to
-/// a different plan than an unsharded engine); only ExecStats
-/// bookkeeping fields (shards_probed, index_bytes, query-cell counters)
-/// reflect the sharded execution.
-///
-/// Plans other than the point-index join do not shard — they run against
-/// the base state exactly as ExecuteAggregate(state, ...) would.
-AggregateAnswer ExecuteAggregate(const ShardedState& sharded, join::AggKind agg,
-                                 Attr attr, double epsilon, Mode mode = Mode::kAuto,
-                                 const ExecHooks& hooks = {});
-
-join::ResultRange ExecuteCountInPolygon(const ShardedState& sharded,
-                                        const geom::Polygon& poly, double epsilon,
-                                        const ExecHooks& hooks = {});
-
-std::vector<uint32_t> ExecuteSelectInPolygon(const ShardedState& sharded,
-                                             const geom::Polygon& poly,
-                                             double epsilon,
-                                             const ExecHooks& hooks = {});
-
-// ---- v2 executors (typed distance-bound contract) ----------------------
-// Same envelope semantics as the EngineState versions in engine_state.h;
-// exact bounds never scatter — they execute against the base snapshot, so
-// all deployment paths answer exact queries identically by construction.
-
-AggregateAnswer ExecuteAggregate(const ShardedState& sharded, join::AggKind agg,
-                                 Attr attr, const query::ErrorBound& bound,
-                                 Mode mode = Mode::kAuto,
-                                 const ExecHooks& hooks = {});
-
-CountAnswer ExecuteCount(const ShardedState& sharded, const geom::Polygon& poly,
-                         const query::ErrorBound& bound,
-                         const ExecHooks& hooks = {});
-
-SelectAnswer ExecuteSelect(const ShardedState& sharded, const geom::Polygon& poly,
-                           const query::ErrorBound& bound,
-                           const ExecHooks& hooks = {});
 
 }  // namespace dbsa::core
 

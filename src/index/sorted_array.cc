@@ -42,7 +42,7 @@ PrefixSumIndex PrefixSumIndex::Build(std::vector<uint64_t> keys,
   // Tie-break equal keys by original row: the sorted order (and therefore
   // CollectIds output) becomes the canonical (key, row id) order, which
   // spatially-partitioned executions can reproduce exactly when merging
-  // shard-local selections (core/sharded_state.h).
+  // shard-local selections (service/shard_server.h).
   std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
     return keys[a] != keys[b] ? keys[a] < keys[b] : a < b;
   });

@@ -100,7 +100,7 @@ class PrefixSumIndex {
   /// of the range's values whenever the running sums fit the ~106-bit
   /// pair window — which is what lets spatially-partitioned executions
   /// merge shard partials into byte-identical totals for non-dyadic
-  /// attribute columns (core/sharded_state.h merge identity).
+  /// attribute columns (service/shard_server.h merge identity).
   TwoDouble SumPairBetween(size_t lo_pos, size_t hi_pos) const {
     if (hi_pos <= lo_pos) return TwoDouble{};
     return SubPair({prefix_[hi_pos], prefix_comp_[hi_pos]},

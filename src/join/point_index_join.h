@@ -47,7 +47,7 @@ const char* SearchStrategyName(SearchStrategy s);
 /// as the running totals fit the pair's ~106-bit window (any realistic
 /// attribute column), the merged total is EXACT and therefore identical
 /// under every association order. This is what makes the sharded
-/// byte-identity contract of core/sharded_state.h hold for non-dyadic
+/// byte-identity contract of service/shard_server.h hold for non-dyadic
 /// attributes, not just dyadic ones. Read totals through SumValue() /
 /// BoundarySumValue(), never `sum` alone.
 struct CellAggregate {

@@ -138,6 +138,9 @@ QueryService::QueryService(std::shared_ptr<const core::EngineState> state,
     }
     loopback_ = std::make_shared<LoopbackTransport>(std::move(handlers), registry_);
     router_ = std::make_unique<ShardRouter>(sharded_, loopback_);
+  } else if (sharded_ != nullptr) {
+    // In-process sharding: the same router over its direct carrier.
+    router_ = std::make_unique<ShardRouter>(sharded_);
   }
   // Pin every outgoing scatter to the serving generation (wire v5 epoch;
   // 0 stays the wildcard for epoch-less deployments).
@@ -152,9 +155,8 @@ QueryService::QueryService(data::PointSet points, data::RegionSet regions,
 QueryService::~QueryService() = default;
 
 ExecPath QueryService::exec_path() const {
-  if (router_ != nullptr) return ExecPath::kTransport;
-  if (sharded_ != nullptr) return ExecPath::kSharded;
-  return ExecPath::kLocal;
+  if (router_ == nullptr) return ExecPath::kLocal;
+  return router_->direct() ? ExecPath::kSharded : ExecPath::kTransport;
 }
 
 core::ExecHooks QueryService::MakeHooks(const ExecOptions& options,
@@ -241,13 +243,8 @@ void QueryService::RunSpec(const AggregateSpec& spec, const ExecOptions& options
         return router_ != nullptr
                    ? ExecuteAggregate(*router_, spec.agg, spec.attr,
                                       options.bound, options.mode, hooks)
-                   : (sharded_ != nullptr
-                          ? core::ExecuteAggregate(*sharded_, spec.agg, spec.attr,
-                                                   options.bound, options.mode,
-                                                   hooks)
-                          : core::ExecuteAggregate(*state_, spec.agg, spec.attr,
-                                                   options.bound, options.mode,
-                                                   hooks));
+                   : core::ExecuteAggregate(*state_, spec.agg, spec.attr,
+                                            options.bound, options.mode, hooks);
       });
 }
 
@@ -257,11 +254,7 @@ void QueryService::RunSpec(const CountSpec& spec, const ExecOptions& options,
       RunWithStats(options, trace, result, [&](const core::ExecHooks& hooks) {
         return router_ != nullptr
                    ? ExecuteCount(*router_, spec.poly, options.bound, hooks)
-                   : (sharded_ != nullptr
-                          ? core::ExecuteCount(*sharded_, spec.poly,
-                                               options.bound, hooks)
-                          : core::ExecuteCount(*state_, spec.poly, options.bound,
-                                               hooks));
+                   : core::ExecuteCount(*state_, spec.poly, options.bound, hooks);
       }).range;
 }
 
@@ -271,11 +264,7 @@ void QueryService::RunSpec(const SelectSpec& spec, const ExecOptions& options,
       RunWithStats(options, trace, result, [&](const core::ExecHooks& hooks) {
         return router_ != nullptr
                    ? ExecuteSelect(*router_, spec.poly, options.bound, hooks)
-                   : (sharded_ != nullptr
-                          ? core::ExecuteSelect(*sharded_, spec.poly,
-                                                options.bound, hooks)
-                          : core::ExecuteSelect(*state_, spec.poly, options.bound,
-                                                hooks));
+                   : core::ExecuteSelect(*state_, spec.poly, options.bound, hooks);
       }).ids);
 }
 
@@ -517,7 +506,7 @@ void QueryService::WarmCache(double epsilon) {
     if (router_ != nullptr) {
       // Shard-aware warm: ship each region's routed cell slice to exactly
       // the shards its cells route to — every other shard's cache stays
-      // untouched by this region.
+      // untouched by this region (a no-op on the direct carrier).
       router_->WarmObject(ObjectKey(static_cast<uint64_t>(j)), level, *hr);
     }
   });

@@ -26,8 +26,10 @@
 // join/point_index_join.h), only scheduling varies. Restated and tested
 // over the v2 envelope in tests/query_envelope_test.cc.
 //
-// Sharding and the message seam are unchanged from PR 2/3 (see
-// ServiceOptions below and core/sharded_state.h, service/shard_server.h).
+// Sharding and the message seam: see ServiceOptions below. Every sharded
+// path runs through one ShardRouter (service/shard_server.h) — its direct
+// carrier for in-process sharding, a loopback or socket transport for the
+// seam; core/sharded_state.h partitions and routes.
 
 #ifndef DBSA_SERVICE_QUERY_SERVICE_H_
 #define DBSA_SERVICE_QUERY_SERVICE_H_
@@ -322,6 +324,8 @@ class QueryService {
   std::vector<std::shared_ptr<ShardServer>> servers_;
   std::shared_ptr<LoopbackTransport> loopback_;
   std::shared_ptr<SocketTransport> socket_;
+  /// Non-null iff sharded_ is: the direct carrier without the seam, the
+  /// loopback or socket transport with it.
   std::unique_ptr<ShardRouter> router_;
   ServiceOptions options_;
   /// Declared before cache_: the cache (and every other component)

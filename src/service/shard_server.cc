@@ -40,6 +40,48 @@ std::string ShardMetric(const char* family, size_t shard) {
   return std::string(family) + "{shard=\"" + std::to_string(shard) + "\"}";
 }
 
+/// Executes one shard's cell slice: the point-index probe behind every
+/// carrier (ShardServer::Dispatch for the transports, the router's direct
+/// carrier in process). `state` may be null (an empty shard) and the
+/// slice may be empty: both answer a zero partial.
+GatherPartial ExecuteSlice(const core::EngineState* state,
+                           const std::vector<uint32_t>& global_ids,
+                           ScatterRequest::Kind kind, const raster::HrCell* cells,
+                           size_t num_cells) {
+  GatherPartial out;
+  out.kind = kind;
+  if (state == nullptr || !state->point_index.has_value() || num_cells == 0) {
+    return out;
+  }
+  static_assert(ScatterRequest::kKindCount == 3,
+                "new scatter kind: execute it against the shard slice below");
+  switch (kind) {
+    case ScatterRequest::Kind::kAggregateCells: {
+      out.aggregate = state->point_index->QueryCells(
+          cells, num_cells, join::SearchStrategy::kSortedSweep);
+      break;
+    }
+    case ScatterRequest::Kind::kSelectIds: {
+      out.probe_cells = num_cells;
+      std::vector<uint32_t> local;
+      state->point_index->SelectIds(cells, num_cells,
+                                    join::SearchStrategy::kSortedSweep, &local);
+      out.keyed_ids.reserve(local.size());
+      // Keys computed from the shard's own copy of the point (identical
+      // bits to the base table row), ids remapped to base rows: the
+      // router needs no point data to canonicalize the gather.
+      for (const uint32_t l : local) {
+        out.keyed_ids.emplace_back(state->grid.LeafKey(state->points->locs[l]),
+                                   global_ids[l]);
+      }
+      break;
+    }
+    case ScatterRequest::Kind::kWarm:
+      break;  // Nothing to execute: a warm only fills the slice cache.
+  }
+  return out;
+}
+
 }  // namespace
 
 ShardServer::ShardServer(std::shared_ptr<const core::EngineState> state,
@@ -131,15 +173,14 @@ std::string ShardServer::Handle(const std::string& request_bytes) {
 }
 
 GatherPartial ShardServer::Dispatch(const ScatterRequest& request) {
-  GatherPartial out;
-  out.kind = request.kind;
-
   if (request.kind == ScatterRequest::Kind::kWarm) {
     if (!request.has_object || !request.has_cells) {
       return GatherPartial::FromStatus(
           request.kind, GatherPartial::Disposition::kError,
           Status::InvalidArgument("warm request needs an object key and cells"));
     }
+    GatherPartial out;
+    out.kind = request.kind;
     out.cells_cached = request.cells.size();
     CachePut({request.object, request.level}, request.checksum, request.cells);
     return out;
@@ -172,36 +213,7 @@ GatherPartial ShardServer::Dispatch(const ScatterRequest& request) {
             "request carries neither cells nor an object reference"));
   }
 
-  if (state_ == nullptr || !state_->point_index.has_value() || num_cells == 0) {
-    return out;  // Empty shard or empty slice: zero partial.
-  }
-  static_assert(ScatterRequest::kKindCount == 3,
-                "new scatter kind: execute it against the shard slice below");
-  switch (request.kind) {
-    case ScatterRequest::Kind::kAggregateCells: {
-      out.aggregate = state_->point_index->QueryCells(
-          cells, num_cells, join::SearchStrategy::kSortedSweep);
-      break;
-    }
-    case ScatterRequest::Kind::kSelectIds: {
-      out.probe_cells = num_cells;
-      std::vector<uint32_t> local;
-      state_->point_index->SelectIds(cells, num_cells,
-                                     join::SearchStrategy::kSortedSweep, &local);
-      out.keyed_ids.reserve(local.size());
-      // Keys computed from the shard's own copy of the point (identical
-      // bits to the base table row), ids remapped to base rows: the
-      // router needs no point data to canonicalize the gather.
-      for (const uint32_t l : local) {
-        out.keyed_ids.emplace_back(state_->grid.LeafKey(state_->points->locs[l]),
-                                   global_ids_[l]);
-      }
-      break;
-    }
-    case ScatterRequest::Kind::kWarm:
-      break;  // Handled above.
-  }
-  return out;
+  return ExecuteSlice(state_.get(), global_ids_, request.kind, cells, num_cells);
 }
 
 void ShardServer::CachePut(const CacheKey& key, uint64_t checksum,
@@ -279,6 +291,11 @@ std::vector<std::pair<ObjectKey, int>> ShardServer::CachedKeys() const {
 }
 
 // ------------------------------------------------------------ ShardRouter
+
+ShardRouter::ShardRouter(std::shared_ptr<const core::ShardedState> sharded)
+    : sharded_(std::move(sharded)) {
+  DBSA_CHECK(sharded_ != nullptr && sharded_->has_slices());
+}
 
 ShardRouter::ShardRouter(std::shared_ptr<const core::ShardedState> sharded,
                          std::shared_ptr<Transport> transport)
@@ -416,15 +433,35 @@ void SendWave(Transport& transport, const core::ExecHooks& hooks,
 
 std::vector<GatherPartial> ShardRouter::GatherFromShards(
     ScatterRequest::Kind kind, const ObjectKey* object, int level,
-    const query::ErrorBound& bound, uint64_t checksum,
-    const raster::HrCell* cells, const core::ShardedState::CellRoute* routes,
-    size_t num_cells, const core::ExecHooks& hooks,
-    const std::vector<uint32_t>& surviving) {
+    const query::ErrorBound& bound, const raster::HrCell* cells,
+    const core::ShardedState::CellRoute* routes, size_t num_cells,
+    const core::ExecHooks& hooks, const std::vector<uint32_t>& surviving) {
   telemetry::QueryTrace* trace = hooks.trace;
   const size_t n = surviving.size();
-  // Same fan-out threshold as the in-process executor: scheduling (not
-  // results) is all that changes with it.
-  const bool parallel_issue = num_cells >= core::kShardFanOutMinCells;
+  if (n == 0) return {};
+  // One fan-out threshold for every carrier: scheduling (not results) is
+  // all that changes with it.
+  const bool parallel_issue = num_cells >= kShardFanOutMinCells;
+
+  if (transport_ == nullptr) {
+    // Direct carrier: the shard's slice runs in process, against the
+    // same slice state a ShardServer would own.
+    std::vector<GatherPartial> partials(n);
+    const auto one_shard = [&](size_t t) {
+      const core::ShardedState::Shard& shard = sharded_->shard(surviving[t]);
+      const std::vector<raster::HrCell> slice =
+          sharded_->PruneCellsForShard(surviving[t], cells, routes, num_cells);
+      partials[t] = ExecuteSlice(shard.state.get(), shard.global_ids, kind,
+                                 slice.data(), slice.size());
+    };
+    if (parallel_issue) {
+      core::RunMaybeParallel(hooks, n, one_shard);
+    } else {
+      for (size_t t = 0; t < n; ++t) one_shard(t);
+    }
+    return partials;
+  }
+
   const Key key{object != nullptr ? *object : ObjectKey(), level};
 
   ScatterRequest base;
@@ -432,7 +469,7 @@ std::vector<GatherPartial> ShardRouter::GatherFromShards(
   base.bound_kind = bound.kind;
   base.bound_epsilon = bound.epsilon;
   base.level = level;
-  base.checksum = checksum;
+  base.checksum = ApproxChecksum(cells, num_cells);
   base.epoch = epoch_;
   if (trace != nullptr) {
     base.trace_hi = trace->ctx().trace_hi;
@@ -534,35 +571,35 @@ std::vector<GatherPartial> ShardRouter::GatherFromShards(
   return partials;
 }
 
+std::vector<uint32_t> ShardRouter::Route(
+    const raster::HierarchicalRaster& hr, telemetry::QueryTrace* trace,
+    std::vector<core::ShardedState::CellRoute>* routes) const {
+  telemetry::SpanTimer route_span(trace, "route");
+  *routes = sharded_->MakeRoutes(hr.cells().data(), hr.cells().size());
+  return sharded_->SurvivingShards(routes->data(), routes->size());
+}
+
 join::CellAggregate ShardRouter::ScatterGather(
     const raster::HierarchicalRaster& hr, const ObjectKey* object, int level,
     const query::ErrorBound& bound, const core::ExecHooks& hooks,
     std::atomic<uint32_t>* touched, size_t* num_surviving) {
   const raster::HrCell* cells = hr.cells().data();
   const size_t num_cells = hr.cells().size();
-  telemetry::QueryTrace* trace = hooks.trace;
   std::vector<core::ShardedState::CellRoute> routes;
-  std::vector<uint32_t> surviving;
-  {
-    telemetry::SpanTimer route_span(trace, "route");
-    routes = sharded_->MakeRoutes(cells, num_cells);
-    surviving = sharded_->SurvivingShards(routes.data(), num_cells);
-  }
+  const std::vector<uint32_t> surviving = Route(hr, hooks.trace, &routes);
   if (touched != nullptr) {
     for (const uint32_t s : surviving) {
       touched[s].store(1, std::memory_order_relaxed);
     }
   }
   if (num_surviving != nullptr) *num_surviving = surviving.size();
-  const uint64_t checksum = ApproxChecksum(cells, num_cells);
   const std::vector<GatherPartial> partials =
       GatherFromShards(ScatterRequest::Kind::kAggregateCells, object, level,
-                       bound, checksum, cells, routes.data(), num_cells, hooks,
-                       surviving);
-  // Completion order was whatever the wire delivered; the fold below is
-  // the canonical ascending-shard merge (partials are positional in
-  // `surviving`), preserving byte identity with the in-process engine.
-  telemetry::SpanTimer merge_span(trace, "merge");
+                       bound, cells, routes.data(), num_cells, hooks, surviving);
+  // Completion order was whatever the carrier delivered; the fold below
+  // is the canonical ascending-shard merge (partials are positional in
+  // `surviving`), preserving byte identity with the unsharded engine.
+  telemetry::SpanTimer merge_span(hooks.trace, "merge");
   join::CellAggregate agg;
   for (const GatherPartial& partial : partials) agg.Merge(partial.aggregate);
   return agg;
@@ -574,21 +611,13 @@ std::vector<std::pair<uint64_t, uint32_t>> ShardRouter::SelectKeyed(
     size_t* num_surviving, size_t* probe_cells) {
   const raster::HrCell* cells = hr.cells().data();
   const size_t num_cells = hr.cells().size();
-  telemetry::QueryTrace* trace = hooks.trace;
   std::vector<core::ShardedState::CellRoute> routes;
-  std::vector<uint32_t> surviving;
-  {
-    telemetry::SpanTimer route_span(trace, "route");
-    routes = sharded_->MakeRoutes(cells, num_cells);
-    surviving = sharded_->SurvivingShards(routes.data(), num_cells);
-  }
+  const std::vector<uint32_t> surviving = Route(hr, hooks.trace, &routes);
   if (num_surviving != nullptr) *num_surviving = surviving.size();
-  const uint64_t checksum = ApproxChecksum(cells, num_cells);
   std::vector<GatherPartial> partials =
       GatherFromShards(ScatterRequest::Kind::kSelectIds, object, level, bound,
-                       checksum, cells, routes.data(), num_cells, hooks,
-                       surviving);
-  telemetry::SpanTimer gather_span(trace, "gather");
+                       cells, routes.data(), num_cells, hooks, surviving);
+  telemetry::SpanTimer gather_span(hooks.trace, "gather");
   if (probe_cells != nullptr) {
     *probe_cells = 0;
     for (const GatherPartial& partial : partials) {
@@ -603,55 +632,49 @@ std::vector<std::pair<uint64_t, uint32_t>> ShardRouter::SelectKeyed(
   return keyed;
 }
 
+void ShardRouter::SendWarm(size_t shard, const ObjectKey& object, int level,
+                           const raster::HierarchicalRaster& hr,
+                           const core::ShardedState::CellRoute* routes,
+                           uint64_t checksum) {
+  ScatterRequest request;
+  request.kind = ScatterRequest::Kind::kWarm;
+  request.bound_kind = query::BoundKind::kGridLevel;
+  request.level = level;
+  request.checksum = checksum;
+  request.epoch = epoch_;
+  request.has_object = true;
+  request.object = object;
+  request.has_cells = true;
+  request.cells = sharded_->PruneCellsForShard(shard, hr.cells().data(), routes,
+                                               hr.cells().size());
+  RoundtripDecode(*transport_, shard, request);
+  MarkCached(shard, Key{object, level}, true);
+}
+
 size_t ShardRouter::WarmObject(const ObjectKey& object, int level,
                                const raster::HierarchicalRaster& hr) {
-  const raster::HrCell* cells = hr.cells().data();
-  const size_t num_cells = hr.cells().size();
-  const std::vector<core::ShardedState::CellRoute> routes =
-      sharded_->MakeRoutes(cells, num_cells);
-  const std::vector<uint32_t> surviving =
-      sharded_->SurvivingShards(routes.data(), num_cells);
-  const uint64_t checksum = ApproxChecksum(cells, num_cells);
+  if (transport_ == nullptr) return 0;  // Direct carrier: no slice cache.
+  std::vector<core::ShardedState::CellRoute> routes;
+  const std::vector<uint32_t> surviving = Route(hr, nullptr, &routes);
+  const uint64_t checksum = ApproxChecksum(hr.cells().data(), hr.cells().size());
   for (const uint32_t s : surviving) {
-    ScatterRequest request;
-    request.kind = ScatterRequest::Kind::kWarm;
-    request.bound_kind = query::BoundKind::kGridLevel;
-    request.level = level;
-    request.checksum = checksum;
-    request.epoch = epoch_;
-    request.has_object = true;
-    request.object = object;
-    request.has_cells = true;
-    request.cells = sharded_->PruneCellsForShard(s, cells, routes.data(), num_cells);
-    RoundtripDecode(*transport_, s, request);
-    MarkCached(s, Key{object, level}, true);
+    SendWarm(s, object, level, hr, routes.data(), checksum);
   }
   return surviving.size();
 }
 
 bool ShardRouter::WarmShard(size_t shard, const ObjectKey& object, int level,
                             const raster::HierarchicalRaster& hr) {
-  const raster::HrCell* cells = hr.cells().data();
-  const size_t num_cells = hr.cells().size();
+  if (transport_ == nullptr) return false;  // Direct carrier: no slice cache.
   const std::vector<core::ShardedState::CellRoute> routes =
-      sharded_->MakeRoutes(cells, num_cells);
-  if (!sharded_->ShardIntersects(shard, routes.data(), num_cells)) return false;
-  ScatterRequest request;
-  request.kind = ScatterRequest::Kind::kWarm;
-  request.bound_kind = query::BoundKind::kGridLevel;
-  request.level = level;
-  request.checksum = ApproxChecksum(cells, num_cells);
-  request.epoch = epoch_;
-  request.has_object = true;
-  request.object = object;
-  request.has_cells = true;
-  request.cells = sharded_->PruneCellsForShard(shard, cells, routes.data(), num_cells);
-  RoundtripDecode(*transport_, shard, request);
-  MarkCached(shard, Key{object, level}, true);
+      sharded_->MakeRoutes(hr.cells().data(), hr.cells().size());
+  if (!sharded_->ShardIntersects(shard, routes.data(), routes.size())) return false;
+  SendWarm(shard, object, level, hr, routes.data(),
+           ApproxChecksum(hr.cells().data(), hr.cells().size()));
   return true;
 }
 
-// ------------------------------------------- transport-backed executors
+// ---------------------------------------------------- sharded executors
 
 core::AggregateAnswer ExecuteAggregate(ShardRouter& router, join::AggKind agg,
                                        core::Attr attr,
@@ -663,19 +686,24 @@ core::AggregateAnswer ExecuteAggregate(ShardRouter& router, join::AggKind agg,
   DBSA_CHECK(!base.regions->polys.empty());
   const double epsilon = bound.EffectiveEpsilon(base.grid);
 
-  // Same shared plan-selection helpers as the in-process executors, plus
-  // the transport-cost term: each shard probe now costs a message
-  // round-trip, which the optimizer weighs against the fan-out discount.
+  // Plan selection runs through the SAME shared helpers as the unsharded
+  // executor (engine_state.cc), with two additions: the probe fans out
+  // across the shards, and on a transport carrier each shard probe costs
+  // a message round-trip, which the optimizer weighs against the fan-out
+  // discount. Under Mode::kAuto the plan may therefore differ from an
+  // unsharded engine's (the identity is per pinned plan).
   query::QueryProfile profile = core::MakeAggregateProfile(base, epsilon, hooks);
   profile.parallel_shards = static_cast<double>(sharded.num_shards());
-  profile.transport_overhead = router.transport().CostPerMessage();
+  profile.transport_overhead = router.CostPerMessage();
   const query::PlanChoice choice = query::ChoosePlan(profile);
   const query::PlanKind plan = core::ResolveAggregatePlan(
       choice.kind, agg, attr, epsilon, bound.exact() ? core::Mode::kExact : mode);
 
   if (plan != query::PlanKind::kPointIndexJoin) {
-    // Non-sharded plans never cross the seam: they execute against the
-    // base snapshot exactly as the in-process sharded engine delegates.
+    // Non-sharded plans never scatter: they execute against the base
+    // snapshot, byte-identical to the unsharded engine by construction.
+    // Pin the plan chosen here — the base's own optimizer pass must not
+    // second-guess it.
     core::AggregateAnswer answer = core::ExecuteAggregate(
         base, agg, attr, epsilon,
         epsilon <= 0.0 ? core::Mode::kExact : core::ModeForPlan(plan), hooks);
@@ -709,8 +737,8 @@ core::AggregateAnswer ExecuteAggregate(ShardRouter& router, join::AggKind agg,
   core::RunMaybeParallel(hooks, polys.size(), one_poly);
 
   // Gather: canonical — serial in polygon order, ascending-shard merges
-  // already folded inside ScatterGather. Identical to the in-process
-  // sharded executor, hence (per pinned plan) to the unsharded engine.
+  // already folded inside ScatterGather — so (per pinned plan) identical
+  // to the unsharded point-index plan.
   std::vector<join::CellAggregate> per_region(base.regions->num_regions);
   for (size_t j = 0; j < polys.size(); ++j) {
     answer.stats.query_cells += per_poly[j].query_cells;
@@ -764,8 +792,9 @@ core::SelectAnswer ExecuteSelect(ShardRouter& router, const geom::Polygon& poly,
   std::vector<std::pair<uint64_t, uint32_t>> keyed =
       router.SelectKeyed(*hr, &object, level, bound, hooks,
                          &out.stats.shards_probed, &out.stats.query_cells);
-  // Canonicalize exactly like the in-process gather: the unsharded index
-  // emits (leaf key, row id) ascending, and re-sorting the shard union by
+  // Canonicalize: the unsharded index emits ids in (leaf key, row id)
+  // order — disjoint cells ascending, canonical tie-break inside each
+  // cell (see PrefixSumIndex::Build) — and re-sorting the shard union by
   // the same key restores that order bit-for-bit.
   std::sort(keyed.begin(), keyed.end());
   out.ids.reserve(keyed.size());
@@ -776,29 +805,6 @@ core::SelectAnswer ExecuteSelect(ShardRouter& router, const geom::Polygon& poly,
   out.stats.index_bytes = router.sharded().IndexBytes();
   out.stats.elapsed_ms = timer.Millis();
   return out;
-}
-
-core::AggregateAnswer ExecuteAggregate(ShardRouter& router, join::AggKind agg,
-                                       core::Attr attr, double epsilon,
-                                       core::Mode mode,
-                                       const core::ExecHooks& hooks) {
-  return ExecuteAggregate(router, agg, attr, query::ErrorBound::Absolute(epsilon),
-                          mode, hooks);
-}
-
-join::ResultRange ExecuteCountInPolygon(ShardRouter& router,
-                                        const geom::Polygon& poly, double epsilon,
-                                        const core::ExecHooks& hooks) {
-  return ExecuteCount(router, poly, query::ErrorBound::Absolute(epsilon), hooks)
-      .range;
-}
-
-std::vector<uint32_t> ExecuteSelectInPolygon(ShardRouter& router,
-                                             const geom::Polygon& poly,
-                                             double epsilon,
-                                             const core::ExecHooks& hooks) {
-  return ExecuteSelect(router, poly, query::ErrorBound::Absolute(epsilon), hooks)
-      .ids;
 }
 
 }  // namespace dbsa::service

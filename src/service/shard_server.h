@@ -1,32 +1,68 @@
-// The shard-server layer: each spatial shard of a ShardedState runs
-// behind a ShardServer that speaks ONLY the serialized wire format of
-// service/transport.h — the single-process rehearsal of a multi-node
-// deployment. A ShardServer owns one shard's EngineState slice (points,
-// attribute columns, point index), the local→base row id map, and a
-// per-shard HR cache of routed cell slices, and knows nothing about the
-// other shards or the router.
+// The scatter/gather engine and the shard-server layer.
 //
-// The client half is ShardRouter: it keeps the routing metadata (the
-// ShardedState — curve-run key ranges and leaf bounds are a few dozen
-// integers per shard), prunes each query approximation per shard, and
-// executes scatter/gather over a Transport. Per pinned plan the results
-// are BYTE-IDENTICAL to the in-process sharded engine: cell aggregates
-// travel as IEEE-754 bit patterns and merge in ascending shard order;
-// selections travel as (leaf key, base row id) pairs and re-sort to the
-// canonical (key, row) order (see core/sharded_state.h for the merge
-// identity; tested in shard_server_test.cc).
+// ShardRouter is the one scatter/gather algorithm of the system. It keeps
+// the routing metadata (a core::ShardedState — curve-run key ranges and
+// leaf bounds are a few dozen integers per shard) and answers a query
+// approximation in three steps:
 //
-// Per-shard HR cache: a shard caches the routed cell slice of each
-// approximation it has seen, keyed by (ApproxCache object key, epsilon
-// level) — region polygons by table index, ad-hoc polygons by geometry
-// fingerprint. The router remembers which shard holds which key and
-// sends a reference-only ScatterRequest (no cell payload) on repeat
-// queries; a shard that evicted the entry answers kNotCached and the
-// router falls back to shipping the cells. Reference requests carry a
-// checksum of the full approximation, so a stale or fingerprint-colliding
-// entry is detected and re-shipped instead of silently reused.
-// QueryService::WarmCache uses the same machinery to pre-warm each
-// shard's cache with exactly the regions whose cells route to it.
+//   route    the approximation's cells are pruned per shard
+//            (ShardedState::PruneCellsForShard — exact integer tests);
+//   execute  each surviving shard answers its slice from its local point
+//            index, fanned out through ExecHooks::parallel_for when the
+//            approximation has at least kShardFanOutMinCells cells;
+//   gather   partials merge in ascending shard order.
+//
+// It has three carriers, chosen at construction:
+//
+//   direct    no Transport: each slice runs in process against the
+//             ShardedState's own slice states (ExecPath::kSharded);
+//   loopback  a LoopbackTransport to ShardServers in the same process,
+//             every probe crossing the serialized wire format;
+//   socket    a SocketTransport to shard_server_main processes.
+//
+// Every carrier executes a slice with the same function the ShardServer
+// uses to answer a ScatterRequest, so they differ only in how the slice
+// and its partial travel.
+//
+// Merge identity (per pinned plan): shards partition the points, every
+// point's home cell survives pruning for its own shard, and the gather
+// order is canonical — so COUNT aggregates, result ranges and selections
+// are byte-identical to the unsharded engine for any shard count, thread
+// count and carrier. SUM/AVG aggregates match bit-for-bit as well: range
+// sums travel as Neumaier-compensated (error-free transformation) pairs
+// from the prefix arrays through CellAggregate::Merge
+// (util/compensated.h), so partial sums are exact — association order
+// never rounds — for any attribute column whose running sums fit the
+// pair's ~106-bit window. On the wire, cell aggregates travel as IEEE-754
+// bit patterns; selections travel as (leaf key, base row id) pairs and
+// re-sort to the canonical (key, row) order. Under Mode::kAuto the
+// identity covers the EXECUTION of whichever plan is chosen, not the
+// choice itself: the shard-aware cost model (QueryProfile::
+// parallel_shards, plus the transport's CostPerMessage) may pick a
+// different plan than an unsharded engine would, and different plans
+// answer within the same distance bound but not bit-identically. Pin the
+// plan with an explicit Mode to compare executions. The identity matrix
+// in shard_server_test.cc checks every carrier against the unsharded
+// engine and against brute-force ground truth.
+//
+// A ShardServer owns one shard's EngineState slice (points, attribute
+// columns, point index), the local→base row id map, and a per-shard HR
+// cache of routed cell slices, and speaks ONLY the serialized wire format
+// of service/transport.h. It knows nothing about the other shards or the
+// router.
+//
+// Per-shard HR cache (transport carriers only): a shard caches the routed
+// cell slice of each approximation it has seen, keyed by (ApproxCache
+// object key, epsilon level) — region polygons by table index, ad-hoc
+// polygons by geometry fingerprint. The router remembers which shard
+// holds which key and sends a reference-only ScatterRequest (no cell
+// payload) on repeat queries; a shard that evicted the entry answers
+// kNotCached and the router falls back to shipping the cells. Reference
+// requests carry a checksum of the full approximation, so a stale or
+// fingerprint-colliding entry is detected and re-shipped instead of
+// silently reused. QueryService::WarmCache uses the same machinery to
+// pre-warm each shard's cache with exactly the regions whose cells route
+// to it.
 
 #ifndef DBSA_SERVICE_SHARD_SERVER_H_
 #define DBSA_SERVICE_SHARD_SERVER_H_
@@ -159,15 +195,33 @@ class ShardServer {
 /// that was pruned from a different approximation.
 uint64_t ApproxChecksum(const raster::HrCell* cells, size_t num_cells);
 
-/// The client half of the seam: prunes per shard, scatters serialized
-/// requests over the transport, and gathers partials in canonical order.
+/// Below this many approximation cells a query's shard fan-out cannot
+/// amortize the task-submission overhead; the scatter runs on the calling
+/// thread instead. Results are identical either way — only scheduling
+/// changes. Applies to every carrier.
+inline constexpr size_t kShardFanOutMinCells = 256;
+
+/// The scatter/gather engine (see the header comment): prunes per shard,
+/// runs each surviving shard's slice through its carrier, and gathers
+/// partials in canonical order.
 class ShardRouter {
  public:
+  /// Direct carrier: slices execute in process against `sharded`'s own
+  /// slice states (which must be built: has_slices()). No encode, no
+  /// reference requests, no slice cache.
+  explicit ShardRouter(std::shared_ptr<const core::ShardedState> sharded);
+  /// Transport carrier (loopback or socket): every slice crosses the wire.
   ShardRouter(std::shared_ptr<const core::ShardedState> sharded,
               std::shared_ptr<Transport> transport);
 
   const core::ShardedState& sharded() const { return *sharded_; }
-  Transport& transport() const { return *transport_; }
+  /// True for the direct carrier.
+  bool direct() const { return transport_ == nullptr; }
+  /// Optimizer cost units per shard message: 0 on the direct carrier,
+  /// the transport's CostPerMessage otherwise.
+  double CostPerMessage() const {
+    return transport_ != nullptr ? transport_->CostPerMessage() : 0.0;
+  }
 
   /// Pins every outgoing ScatterRequest to dataset generation `epoch`
   /// (stamped into the wire's epoch field): servers of another non-zero
@@ -179,9 +233,9 @@ class ShardRouter {
   void set_epoch(uint64_t epoch) { epoch_ = epoch; }
   uint64_t epoch() const { return epoch_; }
 
-  /// Scatter-gather of one approximation over the surviving shards;
-  /// byte-identical to the in-process ScatterGatherCells. `object`, when
-  /// non-null, keys the per-shard caches. `bound` is the query's contract
+  /// Scatter-gather of one approximation over the surviving shards,
+  /// byte-identical on every carrier. `object`, when non-null, keys the
+  /// per-shard caches (transport carriers). `bound` is the query's contract
   /// as submitted (travels on every ScatterRequest). `touched`, when
   /// non-null, has one flag per shard (multi-polygon callers union them
   /// into ExecStats::shards_probed); `num_surviving`, when non-null,
@@ -204,12 +258,14 @@ class ShardRouter {
       size_t* num_surviving = nullptr, size_t* probe_cells = nullptr);
 
   /// Warms the per-shard caches of exactly the shards `hr` routes to with
-  /// their pruned slices. Returns the number of shards warmed.
+  /// their pruned slices. Returns the number of shards warmed (0 on the
+  /// direct carrier, which has no slice cache).
   size_t WarmObject(const ObjectKey& object, int level,
                     const raster::HierarchicalRaster& hr);
 
   /// Warms ONLY `shard` with its pruned slice of `hr`, iff the
-  /// approximation routes there (returns false otherwise). The
+  /// approximation routes there (returns false otherwise, and always on
+  /// the direct carrier). The
   /// post-failover rewarm path: one shard's newly serving endpoint gets
   /// its cache back without re-shipping to the healthy ones.
   bool WarmShard(size_t shard, const ObjectKey& object, int level,
@@ -218,8 +274,10 @@ class ShardRouter {
  private:
   using Key = ObjectLevelKey;
 
-  /// Completion-driven scatter over `surviving`: every shard's request is
-  /// started through Transport::Send (reference-only when the shard is
+  /// Runs the slice of every shard in `surviving` and returns the
+  /// partials, indexed by position in `surviving`. Direct carrier: each
+  /// slice executes in process. Transport carriers: a completion-driven
+  /// scatter — every shard's request is started through Transport::Send (reference-only when the shard is
   /// known to hold the key, inline cells otherwise), the gather blocks
   /// until EVERY completion has landed, then a second wave re-sends
   /// inline cells to the shards that answered kNotCached. Replies land in
@@ -231,16 +289,29 @@ class ShardRouter {
   /// "shard_roundtrip" span tagged with its shard and correlation id.
   std::vector<GatherPartial> GatherFromShards(
       ScatterRequest::Kind kind, const ObjectKey* object, int level,
-      const query::ErrorBound& bound, uint64_t checksum,
-      const raster::HrCell* cells,
+      const query::ErrorBound& bound, const raster::HrCell* cells,
       const core::ShardedState::CellRoute* routes, size_t num_cells,
       const core::ExecHooks& hooks, const std::vector<uint32_t>& surviving);
+
+  /// The route step shared by every scatter: per-cell routes of `hr`
+  /// into `*routes`, and the surviving shards, ascending. Records the
+  /// "route" span.
+  std::vector<uint32_t> Route(const raster::HierarchicalRaster& hr,
+                              telemetry::QueryTrace* trace,
+                              std::vector<core::ShardedState::CellRoute>* routes) const;
+
+  /// Ships `shard` its pruned slice of `hr` (whose ApproxChecksum is
+  /// `checksum`) as a kWarm request and marks the key cached (transport
+  /// carriers only).
+  void SendWarm(size_t shard, const ObjectKey& object, int level,
+                const raster::HierarchicalRaster& hr,
+                const core::ShardedState::CellRoute* routes, uint64_t checksum);
 
   bool KnownCached(size_t shard, const Key& key) const;
   void MarkCached(size_t shard, const Key& key, bool cached);
 
   std::shared_ptr<const core::ShardedState> sharded_;
-  std::shared_ptr<Transport> transport_;
+  std::shared_ptr<Transport> transport_;  ///< Null: direct carrier.
   uint64_t epoch_ = 0;
 
   /// Per-shard cap on the advisory key set below — it mirrors the
@@ -257,17 +328,17 @@ class ShardRouter {
       DBSA_GUARDED_BY(known_mu_);
 };
 
-// ---- transport-backed executors ---------------------------------------
-// Mirrors of the core executors over a ShardedState, with the shard
-// probes crossing the message seam. Per pinned plan, results are
-// byte-identical to the in-process sharded executors (and hence to the
-// unsharded engine). Plan choice feeds the transport's CostPerMessage
-// into query::QueryProfile::transport_overhead, so under Mode::kAuto the
-// optimizer may legitimately resolve differently than in-process — pin
-// the mode to compare executions (same caveat as sharding itself).
-// Exact bounds never cross the seam: they execute against the base
-// snapshot, identical on every deployment path by construction. Shard
-// failures surface as StatusException carrying the wire's typed code.
+// ---- sharded executors ------------------------------------------------
+// The sharded counterparts of the EngineState Execute* functions, on any
+// carrier. Per pinned plan, payloads are byte-identical to the unsharded
+// engine; only ExecStats bookkeeping (shards_probed, index_bytes,
+// query-cell counters) reflects the sharded execution. Plan choice feeds
+// ShardRouter::CostPerMessage into query::QueryProfile::transport_overhead,
+// so under Mode::kAuto the optimizer may resolve differently per carrier —
+// pin the mode to compare executions. Plans other than the point-index
+// join, and exact bounds, never scatter: they execute against the base
+// snapshot, identical on every path by construction. Shard failures
+// surface as StatusException carrying the wire's typed code.
 
 core::AggregateAnswer ExecuteAggregate(ShardRouter& router, join::AggKind agg,
                                        core::Attr attr,
@@ -282,21 +353,6 @@ core::CountAnswer ExecuteCount(ShardRouter& router, const geom::Polygon& poly,
 core::SelectAnswer ExecuteSelect(ShardRouter& router, const geom::Polygon& poly,
                                  const query::ErrorBound& bound,
                                  const core::ExecHooks& hooks = {});
-
-// Double-epsilon shims (the Absolute(epsilon) case).
-core::AggregateAnswer ExecuteAggregate(ShardRouter& router, join::AggKind agg,
-                                       core::Attr attr, double epsilon,
-                                       core::Mode mode = core::Mode::kAuto,
-                                       const core::ExecHooks& hooks = {});
-
-join::ResultRange ExecuteCountInPolygon(ShardRouter& router,
-                                        const geom::Polygon& poly, double epsilon,
-                                        const core::ExecHooks& hooks = {});
-
-std::vector<uint32_t> ExecuteSelectInPolygon(ShardRouter& router,
-                                             const geom::Polygon& poly,
-                                             double epsilon,
-                                             const core::ExecHooks& hooks = {});
 
 }  // namespace dbsa::service
 

@@ -1,11 +1,12 @@
 // The shard-server message seam: a byte-level wire format plus the
 // transport abstraction the distribution rehearsal runs over.
 //
-// ShardedState (core/sharded_state.h) already isolates shards behind
-// independent EngineState slices with clean scatter/gather seams — the
-// routed cell slice of PruneCellsForShard going out, a CellAggregate or
-// keyed id list coming back, merged in ascending shard order. This header
-// turns those seams into explicit serialized messages:
+// ShardedState (core/sharded_state.h) isolates shards behind independent
+// EngineState slices, and ShardRouter (service/shard_server.h) scatters
+// and gathers over them — the routed cell slice of PruneCellsForShard
+// going out, a CellAggregate or keyed id list coming back, merged in
+// ascending shard order. This header turns those seams into explicit
+// serialized messages:
 //
 //   ScatterRequest   query kind, epsilon level, optional approximation
 //                    identity (the per-shard cache key) and the routed

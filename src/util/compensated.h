@@ -7,7 +7,7 @@
 // sharded SUM gather byte-identical to the unsharded engine for
 // arbitrary (non-dyadic) attribute columns — the rounding that used to
 // depend on association order never happens (see the merge-identity
-// contract in core/sharded_state.h).
+// contract in service/shard_server.h).
 //
 // None of this survives -ffast-math; the build does not use it.
 

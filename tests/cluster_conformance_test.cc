@@ -128,15 +128,17 @@ class ClusterConformanceTest : public ::testing::Test {
 
 // ---- the acceptance matrix --------------------------------------------
 // Snapshot-loaded must be byte-identical to rebuilt at every (K, threads,
-// bound, kind) — in-process scatter-gather AND through epoch-pinned
-// loopback servers. Mode pinned to kPointIndex for aggregates: the
+// bound, kind) — on the direct carrier AND through epoch-pinned loopback
+// servers. Mode pinned to kPointIndex for aggregates: the
 // identity contract is per pinned plan (transports charge different
 // message costs, so kAuto may legitimately resolve different plans).
 TEST_F(ClusterConformanceTest, SnapshotLoadedMatchesRebuiltEverywhere) {
   const geom::Polygon star = MakeStarPolygon({2000, 2000}, 400, 900, 16, 11);
   const geom::Polygon corner = MakeRectPolygon(100, 100, 380, 420);
-  // Prunes to zero shards at every K: a snapshot-loaded cluster must
-  // serialize nothing identically too.
+  // A corner of the universe at the edge of the shards' bounds: few or no
+  // cells survive pruning, and a snapshot-loaded cluster must answer
+  // that identically too. (Pruning to zero shards is covered by the
+  // identity matrix in shard_server_test.cc.)
   const geom::Polygon empty_rect = MakeRectPolygon(4000.5, 4000.5, 4095.0, 4095.0);
   const std::vector<geom::Polygon> polys = {star, corner, empty_rect};
   const std::vector<query::ErrorBound> bounds = {
@@ -150,6 +152,8 @@ TEST_F(ClusterConformanceTest, SnapshotLoadedMatchesRebuiltEverywhere) {
     const auto loaded = ThroughSnapshots(*rebuilt, kEpoch);
     ASSERT_NE(loaded, nullptr);
     ASSERT_TRUE(loaded->has_slices());
+    ShardRouter rebuilt_router(rebuilt);
+    ShardRouter loaded_router(loaded);
     EpochedLoopback loop = MakeEpochedLoopback(loaded, kEpoch);
 
     for (const size_t threads : {size_t{0}, size_t{4}, size_t{8}}) {
@@ -170,10 +174,10 @@ TEST_F(ClusterConformanceTest, SnapshotLoadedMatchesRebuiltEverywhere) {
         for (const join::AggKind agg : {join::AggKind::kCount, join::AggKind::kSum}) {
           const core::Attr attr =
               agg == join::AggKind::kSum ? core::Attr::kFare : core::Attr::kNone;
-          const core::AggregateAnswer want = core::ExecuteAggregate(
-              *rebuilt, agg, attr, bound, core::Mode::kPointIndex, hooks);
-          const core::AggregateAnswer in_process = core::ExecuteAggregate(
-              *loaded, agg, attr, bound, core::Mode::kPointIndex, hooks);
+          const core::AggregateAnswer want = ExecuteAggregate(
+              rebuilt_router, agg, attr, bound, core::Mode::kPointIndex, hooks);
+          const core::AggregateAnswer in_process = ExecuteAggregate(
+              loaded_router, agg, attr, bound, core::Mode::kPointIndex, hooks);
           const core::AggregateAnswer over_loopback = ExecuteAggregate(
               *loop.router, agg, attr, bound, core::Mode::kPointIndex, hooks);
           ExpectRowsIdentical(in_process, want, label + " agg(loaded vs rebuilt)");
@@ -184,9 +188,9 @@ TEST_F(ClusterConformanceTest, SnapshotLoadedMatchesRebuiltEverywhere) {
         for (size_t p = 0; p < polys.size(); ++p) {
           const std::string poly_label = label + " poly=" + std::to_string(p);
           const core::CountAnswer count_want =
-              core::ExecuteCount(*rebuilt, polys[p], bound, hooks);
+              ExecuteCount(rebuilt_router, polys[p], bound, hooks);
           const core::CountAnswer count_loaded =
-              core::ExecuteCount(*loaded, polys[p], bound, hooks);
+              ExecuteCount(loaded_router, polys[p], bound, hooks);
           const core::CountAnswer count_loopback =
               ExecuteCount(*loop.router, polys[p], bound, hooks);
           ExpectRangeIdentical(count_loaded.range, count_want.range,
@@ -195,9 +199,9 @@ TEST_F(ClusterConformanceTest, SnapshotLoadedMatchesRebuiltEverywhere) {
                                poly_label + " count(loopback vs rebuilt)");
 
           const core::SelectAnswer select_want =
-              core::ExecuteSelect(*rebuilt, polys[p], bound, hooks);
+              ExecuteSelect(rebuilt_router, polys[p], bound, hooks);
           const core::SelectAnswer select_loaded =
-              core::ExecuteSelect(*loaded, polys[p], bound, hooks);
+              ExecuteSelect(loaded_router, polys[p], bound, hooks);
           const core::SelectAnswer select_loopback =
               ExecuteSelect(*loop.router, polys[p], bound, hooks);
           EXPECT_EQ(select_loaded.ids, select_want.ids)
@@ -243,7 +247,8 @@ TEST_F(ClusterConformanceTest, MidQueryPrimaryKillFailsOverAtTheSameEpoch) {
 
   const geom::Polygon star = MakeStarPolygon({2000, 2000}, 500, 1100, 14, 3);
   const query::ErrorBound bound = query::ErrorBound::Absolute(8.0);
-  const core::CountAnswer want = core::ExecuteCount(*rebuilt, star, bound, {});
+  ShardRouter rebuilt_router(rebuilt);
+  const core::CountAnswer want = ExecuteCount(rebuilt_router, star, bound, {});
   const core::CountAnswer before = ExecuteCount(router, star, bound, {});
   ExpectRangeIdentical(before.range, want.range, "healthy snapshot cluster");
 

@@ -152,7 +152,8 @@ struct RoundQuery {
   core::CountAnswer want;
 };
 
-std::vector<RoundQuery> MakeQueryMix(const core::ShardedState& reference) {
+std::vector<RoundQuery> MakeQueryMix(
+    const std::shared_ptr<const core::ShardedState>& reference) {
   // Stars over the demo city's center and an off-center cluster: both
   // route to real shards at K=2 (an all-pruned polygon would "pass" the
   // property without ever touching a server).
@@ -164,12 +165,13 @@ std::vector<RoundQuery> MakeQueryMix(const core::ShardedState& reference) {
   };
   const std::vector<query::ErrorBound> bounds = {
       query::ErrorBound::Absolute(8.0), query::ErrorBound::Exact()};
+  ShardRouter direct(reference);
   for (const geom::Polygon& poly : polys) {
     for (const query::ErrorBound& bound : bounds) {
       RoundQuery q;
       q.poly = poly;
       q.bound = bound;
-      q.want = core::ExecuteCount(reference, poly, bound, {});
+      q.want = ExecuteCount(direct, poly, bound, {});
       mix.push_back(q);
     }
   }
@@ -199,7 +201,7 @@ TEST(EpochPropertyTest, StaleReplicaNeverLeaksPreEpochPayload) {
   ShardRouter router(fresh, transport);
   router.set_epoch(kNewEpoch);
 
-  const std::vector<RoundQuery> mix = MakeQueryMix(*fresh);
+  const std::vector<RoundQuery> mix = MakeQueryMix(fresh);
 
   // Healthy baseline: the pinned client reads its own epoch.
   ExpectRangeIdentical(ExecuteCount(router, mix[0].poly, mix[0].bound, {}).range,
@@ -264,7 +266,7 @@ TEST(EpochPropertyTest, CaughtUpReplicaServesIdenticallyThroughRandomKills) {
   ShardRouter router(fresh, transport);
   router.set_epoch(kNewEpoch);
 
-  const std::vector<RoundQuery> mix = MakeQueryMix(*fresh);
+  const std::vector<RoundQuery> mix = MakeQueryMix(fresh);
 
   std::mt19937_64 rng(kScheduleSeed);
   bool killed_once = false;

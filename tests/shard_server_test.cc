@@ -1,22 +1,35 @@
-// Tests for the shard-server message seam: LoopbackTransport execution
-// must return results BYTE-IDENTICAL to the in-process ShardedState
-// engine (per pinned plan) for all three query kinds at every
-// (shard count, thread count) combination, including queries that prune
-// to zero shards — serialization must not cost a single bit. Plus the
-// per-shard HR cache: shard-aware WarmCache routing, reference-request
-// hits, eviction and checksum-mismatch fallbacks, and malformed-message
-// hardening.
+// Tests for the scatter/gather engine and the shard-server seam.
+//
+// The identity matrix runs ShardRouter on each of its carriers (direct,
+// loopback, socket) at every (shard count, thread count, bound regime)
+// and requires all three query kinds to be BYTE-IDENTICAL to the
+// unsharded engine (per pinned plan), including delegated ACT and exact
+// plans and a polygon that prunes to zero shards. Every approximate
+// answer is also checked against brute-force ground truth: the exact
+// count lies inside the returned range, and every point farther than the
+// achieved epsilon from the polygon's boundary is selected exactly when
+// it is inside.
+//
+// Plus the per-shard HR cache: shard-aware WarmCache routing,
+// reference-request hits, eviction and checksum-mismatch fallbacks, and
+// malformed-message hardening.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/dbsa.h"
+#include "geom/distance.h"
 #include "service/query_service.h"
 #include "service/shard_server.h"
+#include "service/socket_cluster.h"
+#include "service/socket_transport.h"
 #include "service/thread_pool.h"
 #include "service/transport.h"
 #include "test_util.h"
@@ -37,6 +50,26 @@ void ExpectRowsIdentical(const core::AggregateAnswer& got,
     EXPECT_EQ(got.rows[r].lo, want.rows[r].lo) << label << " region " << r;
     EXPECT_EQ(got.rows[r].hi, want.rows[r].hi) << label << " region " << r;
   }
+}
+
+void ExpectRangeIdentical(const join::ResultRange& got,
+                          const join::ResultRange& want,
+                          const std::string& label) {
+  EXPECT_EQ(got.approx, want.approx) << label;
+  EXPECT_EQ(got.estimate, want.estimate) << label;
+  EXPECT_EQ(got.lo, want.lo) << label;
+  EXPECT_EQ(got.hi, want.hi) << label;
+}
+
+/// Hooks fanning out over `pool` (none when null: serial execution).
+core::ExecHooks PoolHooks(ThreadPool* pool) {
+  core::ExecHooks hooks;
+  if (pool != nullptr) {
+    hooks.parallel_for = [pool](size_t n, const std::function<void(size_t)>& fn) {
+      pool->ParallelFor(n, fn);
+    };
+  }
+  return hooks;
 }
 
 /// A complete in-process deployment of the seam: shard servers behind a
@@ -74,9 +107,6 @@ class ShardServerTest : public ::testing::Test {
     data::TaxiConfig taxi_config;
     taxi_config.universe = geom::Box(0, 0, 4096, 4096);
     data::PointSet points = data::GenerateTaxiPoints(20000, taxi_config);
-    // Dyadic fares: SUM/AVG partials exact in double, so the merge
-    // identity holds bit-for-bit (see sharded_state_test.cc).
-    for (double& f : points.fare) f = std::round(f * 64.0) / 64.0;
 
     data::RegionConfig region_config;
     region_config.universe = taxi_config.universe;
@@ -91,83 +121,267 @@ class ShardServerTest : public ::testing::Test {
   std::shared_ptr<const core::EngineState> base_;
 };
 
-// The acceptance stress: loopback execution vs the in-process sharded
-// engine, every query kind, K x threads, zero-surviving included.
-TEST_F(ShardServerTest, LoopbackByteMatchesInProcessShardedEverywhere) {
-  const geom::Polygon star1 = MakeStarPolygon({2000, 2000}, 400, 900, 16, 11);
-  const geom::Polygon star2 = MakeStarPolygon({1200, 2800}, 300, 700, 12, 23);
-  const geom::Polygon corner = MakeRectPolygon(100, 100, 380, 420);
-  const std::vector<geom::Polygon> polys = {star1, star2, corner};
-  const std::vector<double> epsilons = {4.0, 16.0};
+// ---- the identity matrix ------------------------------------------------
+// carrier {direct, loopback, socket} x K {1, 2, 7, 16} x threads
+// {serial, 4, 8} x bounds {Absolute 4, Absolute 16, AtLevel 6, Exact}.
+// Aggregates pin their mode: transports charge different CostPerMessage,
+// so under kAuto the optimizer may legitimately resolve different plans —
+// the identity contract is per pinned plan.
 
-  for (const size_t k : {size_t{1}, size_t{2}, size_t{7}, size_t{16}}) {
-    Seam seam = MakeSeam(base_, k);
-    for (const size_t threads : {size_t{0}, size_t{4}, size_t{8}}) {
-      std::unique_ptr<ThreadPool> pool;
-      core::ExecHooks hooks;
-      if (threads > 0) {
-        pool = std::make_unique<ThreadPool>(threads);
-        hooks.parallel_for = [&pool](size_t n,
-                                     const std::function<void(size_t)>& fn) {
-          pool->ParallelFor(n, fn);
-        };
+enum class Carrier { kDirect, kLoopback, kSocket };
+
+const char* CarrierName(Carrier carrier) {
+  switch (carrier) {
+    case Carrier::kDirect:
+      return "direct";
+    case Carrier::kLoopback:
+      return "loopback";
+    case Carrier::kSocket:
+      return "socket";
+  }
+  return "?";
+}
+
+struct MatrixBound {
+  const char* name;
+  query::ErrorBound bound;
+};
+
+const std::vector<MatrixBound>& MatrixBounds() {
+  static const std::vector<MatrixBound> bounds = {
+      {"abs4", query::ErrorBound::Absolute(4.0)},
+      {"abs16", query::ErrorBound::Absolute(16.0)},
+      {"level6", query::ErrorBound::AtLevel(6)},
+      {"exact", query::ErrorBound::Exact()}};
+  return bounds;
+}
+
+/// The aggregates every case runs: the three point-index kinds, then the
+/// plans that never scatter (ACT and exact), which the router delegates
+/// to the base snapshot.
+struct MatrixAggregate {
+  join::AggKind agg;
+  core::Attr attr;
+  core::Mode mode;
+};
+
+const std::vector<MatrixAggregate>& MatrixAggregates() {
+  static const std::vector<MatrixAggregate> aggregates = {
+      {join::AggKind::kCount, core::Attr::kNone, core::Mode::kPointIndex},
+      {join::AggKind::kSum, core::Attr::kFare, core::Mode::kPointIndex},
+      {join::AggKind::kAvg, core::Attr::kFare, core::Mode::kPointIndex},
+      {join::AggKind::kSum, core::Attr::kFare, core::Mode::kAct},
+      {join::AggKind::kCount, core::Attr::kNone, core::Mode::kExact}};
+  return aggregates;
+}
+
+/// One router over `base` cut into `k` shards, with whatever its carrier
+/// needs to run. Members destroy in reverse order: router, transport,
+/// then the servers and listeners it talks to.
+struct CarrierDeployment {
+  Seam loopback;
+  InProcessShardCluster cluster;
+  std::shared_ptr<SocketTransport> socket;
+  std::unique_ptr<ShardRouter> router;
+};
+
+CarrierDeployment Deploy(Carrier carrier,
+                         const std::shared_ptr<const core::EngineState>& base,
+                         size_t k) {
+  CarrierDeployment deployment;
+  switch (carrier) {
+    case Carrier::kDirect:
+      deployment.router =
+          std::make_unique<ShardRouter>(core::ShardedState::Build(base, {k}));
+      break;
+    case Carrier::kLoopback:
+      deployment.loopback = MakeSeam(base, k);
+      deployment.router = std::move(deployment.loopback.router);
+      break;
+    case Carrier::kSocket:
+      deployment.cluster = MakeInProcessShardCluster(base, k);
+      deployment.socket = std::make_shared<SocketTransport>(
+          deployment.cluster.placement, SocketTransport::Options{});
+      deployment.router =
+          std::make_unique<ShardRouter>(deployment.cluster.sharded, deployment.socket);
+      break;
+  }
+  return deployment;
+}
+
+/// Brute-force facts about one query polygon over the base points.
+struct GroundTruth {
+  double count = 0.0;              ///< Exact point-in-polygon count.
+  std::vector<double> distance;    ///< Per point: distance to the boundary.
+  std::vector<char> inside;        ///< Per point: poly.Contains.
+};
+
+/// The unsharded engine's answers under one bound.
+struct UnshardedAnswers {
+  std::vector<core::AggregateAnswer> aggregates;  ///< MatrixAggregates order.
+  std::vector<core::CountAnswer> counts;          ///< Per polygon.
+  std::vector<core::SelectAnswer> selects;        ///< Per polygon.
+};
+
+using MatrixParam = std::tuple<Carrier, size_t, size_t, size_t>;
+
+class IdentityMatrixTest : public ::testing::TestWithParam<MatrixParam> {
+ protected:
+  static void SetUpTestSuite() {
+    // Points (with non-dyadic fares) fill only x < 3000 of a universe
+    // whose regions span all of it, so a polygon in the empty strip
+    // prunes to zero shards at every K.
+    data::TaxiConfig taxi_config;
+    taxi_config.universe = geom::Box(0, 0, 3000, 4096);
+    data::RegionConfig region_config;
+    region_config.universe = geom::Box(0, 0, 4096, 4096);
+    region_config.num_polygons = 24;
+    region_config.target_avg_vertices = 24;
+    region_config.multi_fraction = 0.2;
+    base_ = new std::shared_ptr<const core::EngineState>(
+        core::BuildEngineState(data::GenerateTaxiPoints(20000, taxi_config),
+                               data::GenerateRegions(region_config)));
+    const core::EngineState& base = **base_;
+    polys_ = new std::vector<geom::Polygon>{
+        MakeStarPolygon({2000, 2000}, 400, 900, 16, 11),
+        MakeStarPolygon({1200, 2800}, 300, 700, 12, 23),
+        MakeRectPolygon(100, 100, 380, 420),
+        MakeRectPolygon(3300, 1000, 3900, 2000)};  // The empty strip.
+    truth_ = new std::vector<GroundTruth>();
+    for (const geom::Polygon& poly : *polys_) {
+      GroundTruth truth;
+      truth.count =
+          core::ExecuteCount(base, poly, query::ErrorBound::Exact()).range.estimate;
+      for (const geom::Point& p : base.points->locs) {
+        truth.distance.push_back(geom::DistanceToBoundary(p, poly));
+        truth.inside.push_back(poly.Contains(p) ? 1 : 0);
       }
-      const std::string label =
-          "k=" + std::to_string(k) + " threads=" + std::to_string(threads);
-
-      for (const double eps : epsilons) {
-        ExpectRowsIdentical(
-            ExecuteAggregate(*seam.router, join::AggKind::kCount, core::Attr::kNone,
-                             eps, core::Mode::kPointIndex, hooks),
-            core::ExecuteAggregate(*seam.sharded, join::AggKind::kCount,
-                                   core::Attr::kNone, eps, core::Mode::kPointIndex,
-                                   hooks),
-            label + " count eps=" + std::to_string(eps));
-        ExpectRowsIdentical(
-            ExecuteAggregate(*seam.router, join::AggKind::kSum, core::Attr::kFare,
-                             eps, core::Mode::kPointIndex, hooks),
-            core::ExecuteAggregate(*seam.sharded, join::AggKind::kSum,
-                                   core::Attr::kFare, eps, core::Mode::kPointIndex,
-                                   hooks),
-            label + " sum eps=" + std::to_string(eps));
-        ExpectRowsIdentical(
-            ExecuteAggregate(*seam.router, join::AggKind::kAvg, core::Attr::kFare,
-                             eps, core::Mode::kPointIndex, hooks),
-            core::ExecuteAggregate(*seam.sharded, join::AggKind::kAvg,
-                                   core::Attr::kFare, eps, core::Mode::kPointIndex,
-                                   hooks),
-            label + " avg eps=" + std::to_string(eps));
-
-        for (size_t p = 0; p < polys.size(); ++p) {
-          const join::ResultRange got =
-              ExecuteCountInPolygon(*seam.router, polys[p], eps, hooks);
-          const join::ResultRange want =
-              core::ExecuteCountInPolygon(*seam.sharded, polys[p], eps, hooks);
-          EXPECT_EQ(got.estimate, want.estimate) << label << " poly " << p;
-          EXPECT_EQ(got.lo, want.lo) << label << " poly " << p;
-          EXPECT_EQ(got.hi, want.hi) << label << " poly " << p;
-          EXPECT_EQ(ExecuteSelectInPolygon(*seam.router, polys[p], eps, hooks),
-                    core::ExecuteSelectInPolygon(*seam.sharded, polys[p], eps, hooks))
-              << label << " poly " << p;
-        }
+      truth_->push_back(std::move(truth));
+    }
+    unsharded_ = new std::vector<UnshardedAnswers>();
+    for (const MatrixBound& b : MatrixBounds()) {
+      UnshardedAnswers answers;
+      for (const MatrixAggregate& a : MatrixAggregates()) {
+        answers.aggregates.push_back(
+            core::ExecuteAggregate(base, a.agg, a.attr, b.bound, a.mode));
       }
-
-      // Non-point-index plans delegate beneath the seam unchanged.
-      ExpectRowsIdentical(
-          ExecuteAggregate(*seam.router, join::AggKind::kSum, core::Attr::kFare,
-                           8.0, core::Mode::kAct, hooks),
-          core::ExecuteAggregate(*seam.sharded, join::AggKind::kSum,
-                                 core::Attr::kFare, 8.0, core::Mode::kAct, hooks),
-          label + " delegated ACT");
-      ExpectRowsIdentical(
-          ExecuteAggregate(*seam.router, join::AggKind::kCount, core::Attr::kNone,
-                           0.0, core::Mode::kExact, hooks),
-          core::ExecuteAggregate(*seam.sharded, join::AggKind::kCount,
-                                 core::Attr::kNone, 0.0, core::Mode::kExact, hooks),
-          label + " delegated exact");
+      for (const geom::Polygon& poly : *polys_) {
+        answers.counts.push_back(core::ExecuteCount(base, poly, b.bound));
+        answers.selects.push_back(core::ExecuteSelect(base, poly, b.bound));
+      }
+      unsharded_->push_back(std::move(answers));
     }
   }
+
+  static void TearDownTestSuite() {
+    delete deployments_;
+    delete unsharded_;
+    delete truth_;
+    delete polys_;
+    delete base_;
+  }
+
+  /// One deployment per (carrier, K), shared by that pair's thread and
+  /// bound cases: listeners start once, and the transport carriers' later
+  /// cases run on warm slice caches (reference requests).
+  static CarrierDeployment& Deployment(Carrier carrier, size_t k) {
+    if (deployments_ == nullptr) deployments_ = new DeploymentMap();
+    std::unique_ptr<CarrierDeployment>& slot = (*deployments_)[{carrier, k}];
+    if (slot == nullptr) {
+      slot = std::make_unique<CarrierDeployment>(Deploy(carrier, *base_, k));
+    }
+    return *slot;
+  }
+
+  using DeploymentMap =
+      std::map<std::pair<Carrier, size_t>, std::unique_ptr<CarrierDeployment>>;
+
+  static std::shared_ptr<const core::EngineState>* base_;
+  static std::vector<geom::Polygon>* polys_;
+  static std::vector<GroundTruth>* truth_;
+  static std::vector<UnshardedAnswers>* unsharded_;
+  static DeploymentMap* deployments_;
+};
+
+std::shared_ptr<const core::EngineState>* IdentityMatrixTest::base_ = nullptr;
+std::vector<geom::Polygon>* IdentityMatrixTest::polys_ = nullptr;
+std::vector<GroundTruth>* IdentityMatrixTest::truth_ = nullptr;
+std::vector<UnshardedAnswers>* IdentityMatrixTest::unsharded_ = nullptr;
+IdentityMatrixTest::DeploymentMap* IdentityMatrixTest::deployments_ = nullptr;
+
+TEST_P(IdentityMatrixTest, ByteIdenticalToUnshardedAndHonorsGroundTruth) {
+  const auto [carrier, k, threads, bound_index] = GetParam();
+  const query::ErrorBound& bound = MatrixBounds()[bound_index].bound;
+  const UnshardedAnswers& want = (*unsharded_)[bound_index];
+  const std::string label = std::string(CarrierName(carrier)) +
+                            " k=" + std::to_string(k) +
+                            " threads=" + std::to_string(threads) + " bound=" +
+                            MatrixBounds()[bound_index].name;
+
+  ShardRouter& router = *Deployment(carrier, k).router;
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+  const core::ExecHooks hooks = PoolHooks(pool.get());
+
+  for (size_t a = 0; a < MatrixAggregates().size(); ++a) {
+    const MatrixAggregate& spec = MatrixAggregates()[a];
+    const core::AggregateAnswer got =
+        ExecuteAggregate(router, spec.agg, spec.attr, bound, spec.mode, hooks);
+    ExpectRowsIdentical(got, want.aggregates[a],
+                        label + " aggregate " + std::to_string(a));
+    EXPECT_EQ(got.stats.plan, want.aggregates[a].stats.plan) << label;
+    EXPECT_EQ(got.stats.achieved_epsilon, want.aggregates[a].stats.achieved_epsilon)
+        << label;
+  }
+
+  for (size_t p = 0; p < polys_->size(); ++p) {
+    const geom::Polygon& poly = (*polys_)[p];
+    const GroundTruth& truth = (*truth_)[p];
+    const std::string poly_label = label + " poly=" + std::to_string(p);
+
+    const core::CountAnswer count = ExecuteCount(router, poly, bound, hooks);
+    ExpectRangeIdentical(count.range, want.counts[p].range, poly_label + " count");
+    EXPECT_EQ(count.stats.hr_level, want.counts[p].stats.hr_level) << poly_label;
+    EXPECT_EQ(count.stats.achieved_epsilon, want.counts[p].stats.achieved_epsilon)
+        << poly_label;
+    // Ground truth: the exact count lies inside the returned range.
+    EXPECT_LE(count.range.lo, truth.count) << poly_label;
+    EXPECT_GE(count.range.hi, truth.count) << poly_label;
+    if (p + 1 == polys_->size() && !bound.exact()) {
+      EXPECT_EQ(count.stats.shards_probed, 0u) << poly_label << " must prune";
+    }
+
+    const core::SelectAnswer select = ExecuteSelect(router, poly, bound, hooks);
+    EXPECT_EQ(select.ids, want.selects[p].ids) << poly_label << " select";
+    // Ground truth: a point farther than the achieved epsilon from the
+    // boundary is selected exactly when it lies inside.
+    std::vector<char> selected(truth.inside.size(), 0);
+    for (const uint32_t id : select.ids) selected[id] = 1;
+    size_t checked = 0;
+    for (size_t i = 0; i < truth.inside.size(); ++i) {
+      if (truth.distance[i] <= select.stats.achieved_epsilon) continue;
+      ++checked;
+      ASSERT_EQ(selected[i], truth.inside[i])
+          << poly_label << " point " << i << " at distance " << truth.distance[i];
+    }
+    EXPECT_GT(checked, 0u) << poly_label;
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllCarriers, IdentityMatrixTest,
+    ::testing::Combine(::testing::Values(Carrier::kDirect, Carrier::kLoopback,
+                                         Carrier::kSocket),
+                       ::testing::Values(size_t{1}, size_t{2}, size_t{7},
+                                         size_t{16}),
+                       ::testing::Values(size_t{0}, size_t{4}, size_t{8}),
+                       ::testing::Range(size_t{0}, size_t{4})),
+    [](const ::testing::TestParamInfo<MatrixParam>& info) {
+      return std::string(CarrierName(std::get<0>(info.param))) + "_k" +
+             std::to_string(std::get<1>(info.param)) + "_t" +
+             std::to_string(std::get<2>(info.param)) + "_" +
+             MatrixBounds()[std::get<3>(info.param)].name;
+    });
 
 TEST_F(ShardServerTest, ZeroSurvivingShardsAnswersZeroAcrossTheSeam) {
   // Points confined to the left half; the query polygon sits in the
@@ -188,13 +402,12 @@ TEST_F(ShardServerTest, ZeroSurvivingShardsAnswersZeroAcrossTheSeam) {
       raster::HierarchicalRaster::BuildEpsilon(far_poly, base->grid, 8.0);
   ASSERT_TRUE(seam.sharded->SurvivingShards(hr).empty());
 
-  const join::ResultRange got = ExecuteCountInPolygon(*seam.router, far_poly, 8.0);
-  const join::ResultRange want = core::ExecuteCountInPolygon(*base, far_poly, 8.0);
-  EXPECT_EQ(got.estimate, want.estimate);
-  EXPECT_EQ(got.lo, want.lo);
-  EXPECT_EQ(got.hi, want.hi);
+  const query::ErrorBound bound = query::ErrorBound::Absolute(8.0);
+  const join::ResultRange got = ExecuteCount(*seam.router, far_poly, bound).range;
+  const join::ResultRange want = core::ExecuteCount(*base, far_poly, bound).range;
+  ExpectRangeIdentical(got, want, "far polygon");
   EXPECT_EQ(got.estimate, 0.0);
-  EXPECT_TRUE(ExecuteSelectInPolygon(*seam.router, far_poly, 8.0).empty());
+  EXPECT_TRUE(ExecuteSelect(*seam.router, far_poly, bound).ids.empty());
   // No messages at all crossed the transport for the empty scatter set.
   EXPECT_EQ(seam.transport->stats().messages, 0u);
 }

@@ -1,18 +1,12 @@
-// Stress tests for SFC-sharded scatter-gather execution: results must be
-// BYTE-IDENTICAL to the unsharded engine at every (shard count, thread
-// count) combination, across all three query kinds, including shards
-// that prune to zero.
-//
-// Attribute note: fares are quantized to multiples of 1/64 (dyadic), so
-// every per-cell and per-shard partial sum is exactly representable in
-// double and the gather merge is exact — the merge-identity contract of
-// core/sharded_state.h holds bit-for-bit for SUM and AVG as well as for
-// the always-exact COUNT / range / selection results.
+// Tests for SFC sharding: the Hilbert partition, shard pruning, and
+// in-process sharded execution (ShardRouter's direct carrier, the
+// QueryService kSharded path), including queries that prune every shard
+// and adversarial non-dyadic SUM attributes. The full byte-identity
+// matrix over every carrier lives in shard_server_test.cc.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -45,8 +39,6 @@ class ShardedStateTest : public ::testing::Test {
     data::TaxiConfig taxi_config;
     taxi_config.universe = geom::Box(0, 0, 4096, 4096);
     data::PointSet points = data::GenerateTaxiPoints(20000, taxi_config);
-    // Dyadic fares: exact sums under any association (see file comment).
-    for (double& f : points.fare) f = std::round(f * 64.0) / 64.0;
 
     data::RegionConfig region_config;
     region_config.universe = taxi_config.universe;
@@ -88,80 +80,6 @@ TEST_F(ShardedStateTest, BuildPartitionsPointsIntoLocalShards) {
   EXPECT_EQ(total, base_->points->size());
 }
 
-TEST_F(ShardedStateTest, ScatterGatherByteMatchesUnshardedEverywhere) {
-  const geom::Polygon star1 = MakeStarPolygon({2000, 2000}, 400, 900, 16, 11);
-  const geom::Polygon star2 = MakeStarPolygon({1200, 2800}, 300, 700, 12, 23);
-  const geom::Polygon corner = MakeRectPolygon(100, 100, 380, 420);
-  const std::vector<geom::Polygon> polys = {star1, star2, corner};
-  const std::vector<double> epsilons = {4.0, 16.0};
-
-  for (const size_t k : {size_t{1}, size_t{2}, size_t{7}, size_t{16}}) {
-    const auto sharded = ShardedState::Build(base_, {k});
-    for (const size_t threads : {size_t{0}, size_t{4}, size_t{8}}) {
-      // threads == 0: no parallel hook (serial gather); otherwise fan the
-      // scatter stage out across a real pool.
-      std::unique_ptr<service::ThreadPool> pool;
-      ExecHooks hooks;
-      if (threads > 0) {
-        pool = std::make_unique<service::ThreadPool>(threads);
-        hooks.parallel_for = [&pool](size_t n,
-                                     const std::function<void(size_t)>& fn) {
-          pool->ParallelFor(n, fn);
-        };
-      }
-      const std::string label =
-          "k=" + std::to_string(k) + " threads=" + std::to_string(threads);
-
-      for (const double eps : epsilons) {
-        // Region aggregations, all three aggregate kinds.
-        ExpectRowsIdentical(
-            ExecuteAggregate(*sharded, join::AggKind::kCount, Attr::kNone, eps,
-                             Mode::kPointIndex, hooks),
-            ExecuteAggregate(*base_, join::AggKind::kCount, Attr::kNone, eps,
-                             Mode::kPointIndex),
-            label + " count eps=" + std::to_string(eps));
-        ExpectRowsIdentical(
-            ExecuteAggregate(*sharded, join::AggKind::kSum, Attr::kFare, eps,
-                             Mode::kPointIndex, hooks),
-            ExecuteAggregate(*base_, join::AggKind::kSum, Attr::kFare, eps,
-                             Mode::kPointIndex),
-            label + " sum eps=" + std::to_string(eps));
-        ExpectRowsIdentical(
-            ExecuteAggregate(*sharded, join::AggKind::kAvg, Attr::kFare, eps,
-                             Mode::kPointIndex, hooks),
-            ExecuteAggregate(*base_, join::AggKind::kAvg, Attr::kFare, eps,
-                             Mode::kPointIndex),
-            label + " avg eps=" + std::to_string(eps));
-
-        // Ad-hoc counts and selections.
-        for (size_t p = 0; p < polys.size(); ++p) {
-          const join::ResultRange got =
-              ExecuteCountInPolygon(*sharded, polys[p], eps, hooks);
-          const join::ResultRange want = ExecuteCountInPolygon(*base_, polys[p], eps);
-          EXPECT_EQ(got.estimate, want.estimate) << label << " poly " << p;
-          EXPECT_EQ(got.lo, want.lo) << label << " poly " << p;
-          EXPECT_EQ(got.hi, want.hi) << label << " poly " << p;
-          EXPECT_EQ(ExecuteSelectInPolygon(*sharded, polys[p], eps, hooks),
-                    ExecuteSelectInPolygon(*base_, polys[p], eps))
-              << label << " poly " << p;
-        }
-      }
-
-      // Delegated (non-point-index) plans flow through unchanged.
-      ExpectRowsIdentical(ExecuteAggregate(*sharded, join::AggKind::kSum,
-                                           Attr::kFare, 8.0, Mode::kAct, hooks),
-                          ExecuteAggregate(*base_, join::AggKind::kSum, Attr::kFare,
-                                           8.0, Mode::kAct),
-                          label + " delegated ACT");
-      ExpectRowsIdentical(ExecuteAggregate(*sharded, join::AggKind::kCount,
-                                           Attr::kNone, 0.0, Mode::kExact, hooks),
-                          ExecuteAggregate(*base_, join::AggKind::kCount,
-                                           Attr::kNone, 0.0, Mode::kExact),
-                          label + " delegated exact");
-    }
-  }
-}
-
 TEST_F(ShardedStateTest, SelectivePolygonPrunesShards) {
   const auto sharded = ShardedState::Build(base_, {/*num_shards=*/16});
   const geom::Polygon corner = MakeRectPolygon(100, 100, 380, 420);
@@ -172,11 +90,17 @@ TEST_F(ShardedStateTest, SelectivePolygonPrunesShards) {
   EXPECT_GE(surviving.size(), 1u);
   EXPECT_LT(surviving.size(), 8u);
 
-  // The aggregate stats report how many shards were actually probed.
-  const AggregateAnswer answer = ExecuteAggregate(
-      *sharded, join::AggKind::kCount, Attr::kNone, 8.0, Mode::kPointIndex);
+  // The stats report how many shards were actually probed: the region
+  // aggregate unions its polygons' shards, the corner count probes
+  // exactly the surviving set.
+  service::ShardRouter router(sharded);
+  const query::ErrorBound bound = query::ErrorBound::Absolute(8.0);
+  const AggregateAnswer answer = service::ExecuteAggregate(
+      router, join::AggKind::kCount, Attr::kNone, bound, Mode::kPointIndex);
   EXPECT_GT(answer.stats.shards_probed, 0u);
   EXPECT_LE(answer.stats.shards_probed, 16u);
+  EXPECT_EQ(service::ExecuteCount(router, corner, bound).stats.shards_probed,
+            surviving.size());
 }
 
 TEST_F(ShardedStateTest, QueryOutsideEveryShardPrunesToZero) {
@@ -198,13 +122,18 @@ TEST_F(ShardedStateTest, QueryOutsideEveryShardPrunesToZero) {
       raster::HierarchicalRaster::BuildEpsilon(far_poly, base->grid, 8.0);
   EXPECT_TRUE(sharded->SurvivingShards(hr).empty());
 
-  const join::ResultRange got = ExecuteCountInPolygon(*sharded, far_poly, 8.0);
-  const join::ResultRange want = ExecuteCountInPolygon(*base, far_poly, 8.0);
-  EXPECT_EQ(got.estimate, want.estimate);
-  EXPECT_EQ(got.lo, want.lo);
-  EXPECT_EQ(got.hi, want.hi);
-  EXPECT_EQ(got.estimate, 0.0);
-  EXPECT_TRUE(ExecuteSelectInPolygon(*sharded, far_poly, 8.0).empty());
+  service::ShardRouter router(sharded);
+  const query::ErrorBound bound = query::ErrorBound::Absolute(8.0);
+  const CountAnswer got = service::ExecuteCount(router, far_poly, bound);
+  const CountAnswer want = ExecuteCount(*base, far_poly, bound);
+  EXPECT_EQ(got.range.estimate, want.range.estimate);
+  EXPECT_EQ(got.range.lo, want.range.lo);
+  EXPECT_EQ(got.range.hi, want.range.hi);
+  EXPECT_EQ(got.range.estimate, 0.0);
+  EXPECT_EQ(got.stats.shards_probed, 0u);
+  const SelectAnswer selected = service::ExecuteSelect(router, far_poly, bound);
+  EXPECT_TRUE(selected.ids.empty());
+  EXPECT_EQ(selected.stats.shards_probed, 0u);
 }
 
 TEST_F(ShardedStateTest, ShardedQueryServiceByteMatchesUnshardedEngine) {
@@ -237,6 +166,7 @@ TEST_F(ShardedStateTest, ShardedQueryServiceByteMatchesUnshardedEngine) {
   service::QueryService service(engine.Snapshot(), options);
   ASSERT_NE(service.sharded(), nullptr);
   ASSERT_EQ(service.sharded()->num_shards(), 8u);
+  EXPECT_EQ(service.exec_path(), service::ExecPath::kSharded);
 
   for (const service::Request& req : workload) service.Submit(req);
   const std::vector<service::Response> responses = service.DrainResponses();
@@ -299,7 +229,7 @@ TEST(ShardedNonDyadicSumTest, AdversarialAttributesByteIdenticalAtEveryK) {
   const auto base = BuildEngineState(std::move(points), std::move(regions));
 
   for (const size_t k : {size_t{1}, size_t{7}, size_t{16}}) {
-    const auto sharded = ShardedState::Build(base, {k});
+    service::ShardRouter router(ShardedState::Build(base, {k}));
     for (const size_t threads : {size_t{0}, size_t{8}}) {
       std::unique_ptr<service::ThreadPool> pool;
       ExecHooks hooks;
@@ -313,16 +243,17 @@ TEST(ShardedNonDyadicSumTest, AdversarialAttributesByteIdenticalAtEveryK) {
       const std::string label =
           "k=" + std::to_string(k) + " threads=" + std::to_string(threads);
       for (const double eps : {4.0, 16.0}) {
+        const query::ErrorBound bound = query::ErrorBound::Absolute(eps);
         ExpectRowsIdentical(
-            ExecuteAggregate(*sharded, join::AggKind::kSum, Attr::kFare, eps,
-                             Mode::kPointIndex, hooks),
-            ExecuteAggregate(*base, join::AggKind::kSum, Attr::kFare, eps,
+            service::ExecuteAggregate(router, join::AggKind::kSum, Attr::kFare,
+                                      bound, Mode::kPointIndex, hooks),
+            ExecuteAggregate(*base, join::AggKind::kSum, Attr::kFare, bound,
                              Mode::kPointIndex),
             label + " adversarial sum eps=" + std::to_string(eps));
         ExpectRowsIdentical(
-            ExecuteAggregate(*sharded, join::AggKind::kAvg, Attr::kFare, eps,
-                             Mode::kPointIndex, hooks),
-            ExecuteAggregate(*base, join::AggKind::kAvg, Attr::kFare, eps,
+            service::ExecuteAggregate(router, join::AggKind::kAvg, Attr::kFare,
+                                      bound, Mode::kPointIndex, hooks),
+            ExecuteAggregate(*base, join::AggKind::kAvg, Attr::kFare, bound,
                              Mode::kPointIndex),
             label + " adversarial avg eps=" + std::to_string(eps));
       }

@@ -20,6 +20,7 @@
 #include "core/engine_state.h"
 #include "core/sharded_state.h"
 #include "data/cluster_demo.h"
+#include "service/shard_server.h"
 #include "snapshot/snapshot.h"
 #include "test_util.h"
 
@@ -179,13 +180,16 @@ TEST(SnapshotTest, ClusterAssemblyGraftsSlicesAndMatchesBuildExecution) {
   ASSERT_TRUE(assembled.ok()) << assembled.status().ToString();
   EXPECT_TRUE((*assembled)->has_slices());
 
-  // The sharded scatter-gather executor over the assembled state must be
-  // byte-identical to the same execution over the built state.
-  const core::AggregateAnswer got = core::ExecuteAggregate(
-      **assembled, join::AggKind::kSum, core::Attr::kFare,
+  // In-process scatter-gather (the router's direct carrier) over the
+  // assembled state must be byte-identical to the same execution over
+  // the built state.
+  service::ShardRouter assembled_router(*assembled);
+  service::ShardRouter built_router(sharded);
+  const core::AggregateAnswer got = service::ExecuteAggregate(
+      assembled_router, join::AggKind::kSum, core::Attr::kFare,
       query::ErrorBound::Absolute(8.0), core::Mode::kPointIndex);
-  const core::AggregateAnswer want = core::ExecuteAggregate(
-      *sharded, join::AggKind::kSum, core::Attr::kFare,
+  const core::AggregateAnswer want = service::ExecuteAggregate(
+      built_router, join::AggKind::kSum, core::Attr::kFare,
       query::ErrorBound::Absolute(8.0), core::Mode::kPointIndex);
   ASSERT_EQ(got.rows.size(), want.rows.size());
   for (size_t r = 0; r < want.rows.size(); ++r) {

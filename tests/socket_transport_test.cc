@@ -1,8 +1,8 @@
-// Tests for the socket transport: execution over REAL TCP sockets must
-// be byte-identical to the loopback seam and the in-process sharded
-// engine (per pinned plan) for every query kind, at every (shard count,
-// thread count) combination, under every bound regime — and every fault
-// path must resolve to a typed Status, never a hang, crash or UB:
+// Tests for the socket transport. Byte identity of execution over REAL
+// TCP sockets (every query kind, shard count, thread count and bound
+// regime) is part of the identity matrix in shard_server_test.cc; here,
+// QueryService in socket mode must match the loopback service, and every
+// fault path must resolve to a typed Status, never a hang, crash or UB:
 //
 //   * mid-query connection kill  -> reconnect (same endpoint) or
 //                                   single-hop failover (replica),
@@ -38,7 +38,6 @@
 #include "service/shard_server.h"
 #include "service/socket_cluster.h"
 #include "service/socket_transport.h"
-#include "service/thread_pool.h"
 #include "service/transport.h"
 #include "test_util.h"
 
@@ -115,30 +114,6 @@ SocketSeam MakeSocketSeam(const std::shared_ptr<const core::EngineState>& base,
   return seam;
 }
 
-/// The loopback reference over the SAME ShardedState (shared servers are
-/// fine: handlers and sockets never share a connection).
-struct LoopbackSeam {
-  std::vector<std::shared_ptr<ShardServer>> servers;
-  std::shared_ptr<LoopbackTransport> transport;
-  std::unique_ptr<ShardRouter> router;
-};
-
-LoopbackSeam MakeLoopbackSeam(const std::shared_ptr<const core::ShardedState>& sharded) {
-  LoopbackSeam seam;
-  std::vector<LoopbackTransport::Handler> handlers;
-  for (size_t s = 0; s < sharded->num_shards(); ++s) {
-    const core::ShardedState::Shard& shard = sharded->shard(s);
-    seam.servers.push_back(
-        std::make_shared<ShardServer>(shard.state, shard.global_ids));
-    handlers.push_back([server = seam.servers.back()](const std::string& request) {
-      return server->Handle(request);
-    });
-  }
-  seam.transport = std::make_shared<LoopbackTransport>(std::move(handlers));
-  seam.router = std::make_unique<ShardRouter>(sharded, seam.transport);
-  return seam;
-}
-
 class SocketTransportTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -149,85 +124,6 @@ class SocketTransportTest : public ::testing::Test {
 
   std::shared_ptr<const core::EngineState> base_;
 };
-
-// ---- the acceptance matrix --------------------------------------------
-// K in {1,2,7,16} x threads {serial,4,8} x every query kind x bounds
-// {Absolute, AtLevel, Exact}: TCP execution byte-identical to loopback
-// AND to the in-process sharded engine. Mode is pinned to kPointIndex for
-// aggregates: socket and loopback transports charge different
-// CostPerMessage, so under kAuto the optimizer may legitimately resolve
-// different plans — the identity contract is per pinned plan.
-TEST_F(SocketTransportTest, TcpByteMatchesLoopbackAndInProcessEverywhere) {
-  const geom::Polygon star = MakeStarPolygon({2000, 2000}, 400, 900, 16, 11);
-  const geom::Polygon corner = MakeRectPolygon(100, 100, 380, 420);
-  // Prunes to zero shards at every K: serialization of nothing must
-  // still be byte-identical to nothing.
-  const geom::Polygon empty_rect = MakeRectPolygon(4000.5, 4000.5, 4095.0, 4095.0);
-  const std::vector<geom::Polygon> polys = {star, corner, empty_rect};
-  const std::vector<query::ErrorBound> bounds = {
-      query::ErrorBound::Absolute(8.0), query::ErrorBound::AtLevel(6),
-      query::ErrorBound::Exact()};
-
-  for (const size_t k : {size_t{1}, size_t{2}, size_t{7}, size_t{16}}) {
-    SocketSeam tcp = MakeSocketSeam(base_, k, /*with_replicas=*/false);
-    LoopbackSeam loop = MakeLoopbackSeam(tcp.sharded);
-    for (const size_t threads : {size_t{0}, size_t{4}, size_t{8}}) {
-      std::unique_ptr<ThreadPool> pool;
-      core::ExecHooks hooks;
-      if (threads > 0) {
-        pool = std::make_unique<ThreadPool>(threads);
-        hooks.parallel_for = [&pool](size_t n,
-                                     const std::function<void(size_t)>& fn) {
-          pool->ParallelFor(n, fn);
-        };
-      }
-      for (const query::ErrorBound& bound : bounds) {
-        const std::string label = "k=" + std::to_string(k) +
-                                  " threads=" + std::to_string(threads) +
-                                  " bound=" + std::string(query::BoundKindName(bound.kind));
-
-        for (const join::AggKind agg : {join::AggKind::kCount, join::AggKind::kSum}) {
-          const core::Attr attr =
-              agg == join::AggKind::kSum ? core::Attr::kFare : core::Attr::kNone;
-          const core::AggregateAnswer in_process = core::ExecuteAggregate(
-              *tcp.sharded, agg, attr, bound, core::Mode::kPointIndex, hooks);
-          const core::AggregateAnswer over_loopback = ExecuteAggregate(
-              *loop.router, agg, attr, bound, core::Mode::kPointIndex, hooks);
-          const core::AggregateAnswer over_tcp = ExecuteAggregate(
-              *tcp.router, agg, attr, bound, core::Mode::kPointIndex, hooks);
-          ExpectRowsIdentical(over_tcp, in_process, label + " agg(tcp vs core)");
-          ExpectRowsIdentical(over_tcp, over_loopback,
-                              label + " agg(tcp vs loopback)");
-        }
-
-        for (size_t p = 0; p < polys.size(); ++p) {
-          const std::string poly_label = label + " poly=" + std::to_string(p);
-          const core::CountAnswer count_in_process =
-              core::ExecuteCount(*tcp.sharded, polys[p], bound, hooks);
-          const core::CountAnswer count_loopback =
-              ExecuteCount(*loop.router, polys[p], bound, hooks);
-          const core::CountAnswer count_tcp =
-              ExecuteCount(*tcp.router, polys[p], bound, hooks);
-          ExpectRangeIdentical(count_tcp.range, count_in_process.range,
-                               poly_label + " count(tcp vs core)");
-          ExpectRangeIdentical(count_tcp.range, count_loopback.range,
-                               poly_label + " count(tcp vs loopback)");
-
-          const core::SelectAnswer select_in_process =
-              core::ExecuteSelect(*tcp.sharded, polys[p], bound, hooks);
-          const core::SelectAnswer select_loopback =
-              ExecuteSelect(*loop.router, polys[p], bound, hooks);
-          const core::SelectAnswer select_tcp =
-              ExecuteSelect(*tcp.router, polys[p], bound, hooks);
-          EXPECT_EQ(select_tcp.ids, select_in_process.ids)
-              << poly_label << " select(tcp vs core)";
-          EXPECT_EQ(select_tcp.ids, select_loopback.ids)
-              << poly_label << " select(tcp vs loopback)";
-        }
-      }
-    }
-  }
-}
 
 // QueryService end to end: TransportKind::kSocket against in-process
 // listeners vs the loopback service — payloads, statuses and the
